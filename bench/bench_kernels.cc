@@ -346,6 +346,13 @@ fnv1a(const std::vector<uint8_t> &data)
     return h;
 }
 
+void
+printStreamLine(const char *label, const codec::EncodeResult &result)
+{
+    std::printf("%s bytes=%zu hash=%016llx\n", label, result.stream.size(),
+                static_cast<unsigned long long>(fnv1a(result.stream)));
+}
+
 /** --digest: deterministic lines for scripts/check.sh to diff. */
 int
 runDigest()
@@ -361,6 +368,34 @@ runDigest()
     std::printf("ngc bytes=%zu hash=%016llx\n", d.ngc.size(),
                 static_cast<unsigned long long>(fnv1a(d.ngc)));
     std::printf("vbc psnr=%.12f ssim=%.12f\n", d.psnr, d.ssim);
+
+    // The encoders' other frame modes: 4-slice entropy (bands coded
+    // slice-parallel) and two-pass rate control (first pass, then a
+    // budgeted second pass), one line each per codec.
+    codec::EncoderConfig vbc_cfg;
+    vbc_cfg.rc.mode = codec::RcMode::Cqp;
+    vbc_cfg.rc.qp = 30;
+    vbc_cfg.effort = 2;
+    vbc_cfg.gop = 4;
+    vbc_cfg.slice_count = 4;
+    printStreamLine("vbc slices=4", codec::Encoder(vbc_cfg).encode(clip));
+    vbc_cfg.rc.mode = codec::RcMode::TwoPass;
+    vbc_cfg.rc.bitrate_bps = 0.1 * clip.width() * clip.height() * clip.fps();
+    vbc_cfg.effort = 5;
+    vbc_cfg.slice_count = 1;
+    printStreamLine("vbc twopass", codec::Encoder(vbc_cfg).encode(clip));
+
+    ngc::NgcConfig ngc_cfg;
+    ngc_cfg.rc.mode = codec::RcMode::Cqp;
+    ngc_cfg.rc.qp = 30;
+    ngc_cfg.speed = 1;
+    ngc_cfg.gop = 4;
+    ngc_cfg.slice_count = 4;
+    printStreamLine("ngc slices=4", ngc::NgcEncoder(ngc_cfg).encode(clip));
+    ngc_cfg.rc.mode = codec::RcMode::TwoPass;
+    ngc_cfg.rc.bitrate_bps = vbc_cfg.rc.bitrate_bps;
+    ngc_cfg.slice_count = 1;
+    printStreamLine("ngc twopass", ngc::NgcEncoder(ngc_cfg).encode(clip));
     return 0;
 }
 

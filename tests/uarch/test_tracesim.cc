@@ -8,6 +8,7 @@
 
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "ngc/ngc_encoder.h"
 #include "uarch/tracesim.h"
 #include "video/rng.h"
 #include "video/synth.h"
@@ -161,6 +162,95 @@ TEST_F(InstrumentedEncode, ProbeDoesNotPerturbTheBitstream)
 
     EXPECT_EQ(without, with);
     EXPECT_GT(sim.report().instructions, 0);
+
+    // Same contract for the next-generation encoder.
+    ngc::NgcConfig ncfg;
+    ncfg.rc.mode = codec::RcMode::Cqp;
+    ncfg.rc.qp = 27;
+    ncfg.speed = 1;
+    const codec::ByteBuffer ngc_without =
+        ngc::NgcEncoder(ncfg).encode(clip).stream;
+    TraceSimulator ngc_sim;
+    ncfg.probe = &ngc_sim;
+    const codec::ByteBuffer ngc_with =
+        ngc::NgcEncoder(ncfg).encode(clip).stream;
+    EXPECT_EQ(ngc_without, ngc_with);
+    EXPECT_GT(ngc_sim.report().instructions, 0);
+}
+
+/**
+ * Records the probe's kernel stream as an FNV-1a fingerprint over
+ * every (KernelId, units, decision_bits, n_decisions) in order. Memory
+ * regions are left out: their addresses differ from run to run.
+ */
+class FingerprintProbe : public UarchProbe
+{
+  public:
+    using UarchProbe::record;
+
+    void
+    record(KernelId id, uint64_t units, uint64_t decision_bits,
+           int n_decisions, std::initializer_list<MemRegion>) override
+    {
+        mix(static_cast<uint64_t>(id));
+        mix(units);
+        mix(decision_bits);
+        mix(static_cast<uint64_t>(n_decisions));
+        ++records;
+    }
+
+    uint64_t hash = 0xCBF29CE484222325ull;
+    uint64_t records = 0;
+
+  private:
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xFF;
+            hash *= 0x100000001B3ull;
+        }
+    }
+};
+
+video::Video
+fingerprintClip()
+{
+    // Unaligned width: the padded edge column goes through the probe
+    // path too.
+    return video::synthesize(video::presetFor(
+        video::ContentClass::Sports, 136, 96, 30.0, 4, 5150));
+}
+
+TEST(ProbeFingerprint, VbcKernelStreamIsPinned)
+{
+    // The fused probe path (analysis interleaved with entropy coding)
+    // must emit exactly this kernel-record sequence; the uarch models
+    // and every figure built on them consume it in order.
+    FingerprintProbe probe;
+    codec::EncoderConfig cfg;
+    cfg.rc.mode = codec::RcMode::Cqp;
+    cfg.rc.qp = 28;
+    cfg.effort = 6;
+    cfg.gop = 3;
+    cfg.probe = &probe;
+    codec::Encoder(cfg).encode(fingerprintClip());
+    EXPECT_EQ(probe.records, 4275u);
+    EXPECT_EQ(probe.hash, 0x7daf5668c62c603eull);
+}
+
+TEST(ProbeFingerprint, NgcKernelStreamIsPinned)
+{
+    FingerprintProbe probe;
+    ngc::NgcConfig cfg;
+    cfg.rc.mode = codec::RcMode::Cqp;
+    cfg.rc.qp = 28;
+    cfg.speed = 1;
+    cfg.gop = 3;
+    cfg.probe = &probe;
+    ngc::NgcEncoder(cfg).encode(fingerprintClip());
+    EXPECT_EQ(probe.records, 5055u);
+    EXPECT_EQ(probe.hash, 0xdeea7111af23fbe5ull);
 }
 
 TEST_F(InstrumentedEncode, ComplexContentExecutesMoreInstructionsPerPixel)
