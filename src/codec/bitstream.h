@@ -17,6 +17,7 @@
  *     slice_count == 1: entropy payload (VLC bits or range-coded blob)
  *     slice_count  > 1: slice_count records of
  *       slice length u32 little-endian + slice entropy payload
+ *     (walkSliceSegments parses this layout for both codecs)
  *
  * Single-slice streams are written as version 1 — byte-identical to
  * the pre-slice format — so slices are purely opt-in on the wire; a
@@ -29,6 +30,7 @@
 
 #include "codec/bitio.h"
 #include "codec/types.h"
+#include "video/video.h"
 
 namespace vbench::codec {
 
@@ -150,6 +152,94 @@ readU32(const uint8_t *data)
         (static_cast<uint32_t>(data[1]) << 8) |
         (static_cast<uint32_t>(data[2]) << 16) |
         (static_cast<uint32_t>(data[3]) << 24);
+}
+
+/**
+ * Walk the slice segments of one frame payload — the bytes after the
+ * frame byte — in order, handing each to
+ * `decode_slice(data, size, row_begin, row_end)` (false: malformed
+ * slice syntax) with its band of `rows` MB/SB rows. Shared by both
+ * codecs' decoders.
+ *
+ * `slices` == 1 is the legacy layout: the whole payload is the one
+ * segment, with no length prefix. Above 1, each segment is a u32
+ * length — at least 4 bytes present, nonzero, fitting in what remains
+ * — followed by that many bytes, and nothing may trail the last one.
+ * False on any malformed layout (including `slices` outside
+ * [1, rows]) or a failed `decode_slice`.
+ */
+template <class DecodeSlice>
+bool
+walkSliceSegments(const uint8_t *data, size_t size, int slices, int rows,
+                  DecodeSlice &&decode_slice)
+{
+    if (slices < 1 || slices > rows)
+        return false;
+    if (slices == 1)
+        return decode_slice(data, size, 0, rows);
+    size_t offset = 0;
+    for (int s = 0; s < slices; ++s) {
+        if (size - offset < 4)
+            return false;
+        const uint32_t len = readU32(data + offset);
+        offset += 4;
+        if (len == 0 || size - offset < len)
+            return false;
+        if (!decode_slice(data + offset, static_cast<size_t>(len),
+                          sliceRowStart(rows, slices, s),
+                          sliceRowStart(rows, slices, s + 1)))
+            return false;
+        offset += len;
+    }
+    return offset == size;  // no trailing garbage after the last slice
+}
+
+/**
+ * Decode every frame record of a stream and, for split-and-stitch
+ * concatenation, of each back-to-back stream after it with the same
+ * geometry; trailing bytes that are not a stream header are ignored.
+ * Shared by both codecs' decoders: `parse_header(data, size,
+ * consumed)` parses one container header (nullopt: malformed) and
+ * `magic` opens every header; `make_state(header)` builds a fresh
+ * per-stream decoder, and `decode_frame(state, payload, size, out)`
+ * decodes one frame record into `out` (false: malformed).
+ */
+template <class ParseHeader, class MakeState, class DecodeFrame>
+std::optional<video::Video>
+decodeStreams(const uint8_t *data, size_t size, const char (&magic)[4],
+              ParseHeader &&parse_header, MakeState &&make_state,
+              DecodeFrame &&decode_frame)
+{
+    size_t offset = 0;
+    auto header = parse_header(data, size, offset);
+    if (!header)
+        return std::nullopt;
+
+    video::Video out(header->width, header->height, header->fps());
+    while (true) {
+        auto state = make_state(*header);
+        for (uint32_t i = 0; i < header->frame_count; ++i) {
+            if (offset + 4 > size)
+                return std::nullopt;
+            const uint32_t payload_len = readU32(data + offset);
+            offset += 4;
+            if (payload_len == 0 || offset + payload_len > size)
+                return std::nullopt;
+            if (!decode_frame(state, data + offset, payload_len, out))
+                return std::nullopt;
+            offset += payload_len;
+        }
+        if (size - offset < 4 || std::memcmp(data + offset, magic, 4) != 0)
+            break;
+        size_t consumed = 0;
+        header = parse_header(data + offset, size - offset, consumed);
+        if (!header)
+            return std::nullopt;
+        if (header->width != out.width() || header->height != out.height())
+            return std::nullopt;
+        offset += consumed;
+    }
+    return out;
 }
 
 /** Pack / unpack the 1-byte frame header. */

@@ -55,40 +55,21 @@ class DecoderState
         if (type == FrameType::P && refs_.empty())
             return false;
 
-        const int slices = static_cast<int>(header_.slice_count);
-        if (slices < 1 || slices > mb_rows_)
-            return false;
-
         recon_ = Frame(padded_w_, padded_h_);
         grid_ = MbGrid(mb_cols_, mb_rows_);
 
         // Each slice is a self-contained segment: fresh entropy
         // contexts, fresh QP-delta chain, prediction bounded by the
-        // slice head. slice_count == 1 is the legacy layout — the
-        // whole payload after the frame byte is the one segment, with
-        // no length prefix.
-        size_t offset = 1;
-        for (int s = 0; s < slices; ++s) {
-            const uint8_t *seg = payload + offset;
-            size_t seg_size = size - offset;
-            if (slices > 1) {
-                if (size - offset < 4)
-                    return false;
-                const uint32_t len = readU32(payload + offset);
-                offset += 4;
-                if (len == 0 || size - offset < len)
-                    return false;
-                seg = payload + offset;
-                seg_size = len;
-                offset += len;
-            }
-            if (!decodeSlice(seg, seg_size, type, frame_qp,
-                             sliceRowStart(mb_rows_, slices, s),
-                             sliceRowStart(mb_rows_, slices, s + 1)))
-                return false;
-        }
-        if (slices > 1 && offset != size)
-            return false;  // trailing garbage after the last slice
+        // slice head.
+        if (!walkSliceSegments(
+                payload + 1, size - 1,
+                static_cast<int>(header_.slice_count), mb_rows_,
+                [&](const uint8_t *seg, size_t seg_size, int row_begin,
+                    int row_end) {
+                    return decodeSlice(seg, seg_size, type, frame_qp,
+                                       row_begin, row_end);
+                }))
+            return false;
 
         if (header_.deblock)
             deblockFrame(recon_, grid_, probe_);
@@ -371,49 +352,17 @@ class DecoderState
 std::optional<Video>
 decode(const uint8_t *data, size_t size, const DecoderConfig &config)
 {
-    size_t offset = 0;
-    auto header = parseStreamHeader(data, size, offset);
-    if (!header)
-        return std::nullopt;
-
-    Video out(header->width, header->height, header->fps());
-    int32_t frame_index = 0;
-
-    // Outer loop: decode this stream, then — split-and-stitch concat
-    // support — continue into any back-to-back stream that follows.
-    // Trailing bytes that are not a stream header are still ignored,
-    // as before.
-    while (true) {
-        DecoderState state(*header, config.probe);
-        for (uint32_t i = 0; i < header->frame_count; ++i) {
-            if (offset + 4 > size)
-                return std::nullopt;
-            const uint32_t payload_len = readU32(data + offset);
-            offset += 4;
-            if (payload_len == 0 || offset + payload_len > size)
-                return std::nullopt;
-            {
-                obs::ScopedSpan span(config.tracer, obs::Track::Decode,
-                                     obs::Stage::DecodeFrame,
-                                     frame_index);
-                if (!state.decodeFrame(data + offset, payload_len, out))
-                    return std::nullopt;
-            }
-            offset += payload_len;
-            ++frame_index;
-        }
-        if (size - offset < 4 ||
-            std::memcmp(data + offset, kMagic, 4) != 0)
-            break;
-        size_t consumed = 0;
-        header = parseStreamHeader(data + offset, size - offset, consumed);
-        if (!header)
-            return std::nullopt;
-        if (header->width != out.width() || header->height != out.height())
-            return std::nullopt;
-        offset += consumed;
-    }
-    return out;
+    return decodeStreams(
+        data, size, kMagic, parseStreamHeader,
+        [&](const StreamHeader &header) {
+            return DecoderState(header, config.probe);
+        },
+        [&](DecoderState &state, const uint8_t *payload, size_t len,
+            Video &out) {
+            obs::ScopedSpan span(config.tracer, obs::Track::Decode,
+                                 obs::Stage::DecodeFrame, out.frameCount());
+            return state.decodeFrame(payload, len, out);
+        });
 }
 
 } // namespace vbench::codec

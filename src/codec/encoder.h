@@ -132,6 +132,14 @@ class Encoder
 };
 
 /**
+ * The effective entropy slice count of a configured one: values > 0
+ * stand, 0 (or below) means VBENCH_SLICES (core::RuntimeConfig). Every
+ * encoder and every caller that pins the count into a job description
+ * resolves it here.
+ */
+int resolveSliceCount(int slice_count);
+
+/**
  * Run the two-pass analysis pass (the same fast constant-QP encode
  * Encoder::encode runs internally) and return its per-frame stats.
  * Segment chains concatenate the stats of every segment — pass 1 is

@@ -45,10 +45,13 @@ struct RateControlConfig {
     int ip_qp_offset = 3;      ///< I frames run this much finer
 };
 
+/** The fixed quantizer every two-pass analysis pass encodes at. */
+inline constexpr int kFirstPassQp = 30;
+
 /** First-pass per-frame complexity record. */
 struct PassOneStats {
     std::vector<double> frame_bits;  ///< bits each frame took in pass 1
-    int pass_qp = 30;                ///< QP pass 1 ran at
+    int pass_qp = kFirstPassQp;      ///< QP pass 1 ran at
 };
 
 /**

@@ -8,7 +8,6 @@
 #include "codec/encoder.h"
 #include "codec/preset.h"
 #include "core/encoder_backend.h"
-#include "core/runtime_config.h"
 #include "kernels/kernel_ops.h"
 #include "obs/clock.h"
 #include "obs/obs.h"
@@ -202,9 +201,7 @@ transcode(const codec::ByteBuffer &input, const video::Video &original,
     // outcome reports the effective value and the backends don't each
     // re-read the environment. Per-frame clamping to the MB/SB row
     // count still happens inside the encoders.
-    resolved.slice_count = request.slice_count > 0
-        ? request.slice_count
-        : freshRuntimeConfig().slices;
+    resolved.slice_count = codec::resolveSliceCount(request.slice_count);
     outcome.slice_count = resolved.slice_count;
 
     std::unique_ptr<EncoderBackend> backend =

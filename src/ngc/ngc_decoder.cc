@@ -60,39 +60,20 @@ class NgcDecoderState
         if (type == FrameType::P && refs_.empty())
             return false;
 
-        const int slices = static_cast<int>(header_.slice_count);
-        if (slices < 1 || slices > sb_rows_)
-            return false;
-
         recon_ = Frame(padded_w_, padded_h_);
         cells_ = CellGrid(padded_w_ / 8, padded_h_ / 8);
 
         // Each slice is a self-contained segment with fresh arithmetic
-        // contexts; slice_count == 1 is the legacy layout — the whole
-        // payload after the frame byte, with no length prefix.
-        size_t offset = 1;
-        for (int s = 0; s < slices; ++s) {
-            const uint8_t *seg = payload + offset;
-            size_t seg_size = size - offset;
-            if (slices > 1) {
-                if (size - offset < 4)
-                    return false;
-                const uint32_t len = codec::readU32(payload + offset);
-                offset += 4;
-                if (len == 0 || size - offset < len)
-                    return false;
-                seg = payload + offset;
-                seg_size = len;
-                offset += len;
-            }
-            if (!decodeSlice(seg, seg_size, type,
-                             codec::sliceRowStart(sb_rows_, slices, s),
-                             codec::sliceRowStart(sb_rows_, slices,
-                                                  s + 1)))
-                return false;
-        }
-        if (slices > 1 && offset != size)
-            return false;  // trailing garbage after the last slice
+        // contexts.
+        if (!codec::walkSliceSegments(
+                payload + 1, size - 1,
+                static_cast<int>(header_.slice_count), sb_rows_,
+                [&](const uint8_t *seg, size_t seg_size, int row_begin,
+                    int row_end) {
+                    return decodeSlice(seg, seg_size, type, row_begin,
+                                       row_end);
+                }))
+            return false;
 
         if (header_.deblock)
             deblockMapped();
@@ -411,41 +392,13 @@ class NgcDecoderState
 std::optional<Video>
 ngcDecode(const uint8_t *data, size_t size, const NgcDecoderConfig &config)
 {
-    size_t offset = 0;
-    auto header = parseNgcHeader(data, size, offset);
-    if (!header)
-        return std::nullopt;
-
-    Video out(header->width, header->height, header->fps());
-
-    // Outer loop: decode this stream, then — split-and-stitch concat
-    // support — continue into any back-to-back stream that follows.
-    // Trailing bytes that are not a stream header are still ignored.
-    while (true) {
-        NgcDecoderState state(*header, config.probe);
-        for (uint32_t i = 0; i < header->frame_count; ++i) {
-            if (offset + 4 > size)
-                return std::nullopt;
-            const uint32_t payload_len = codec::readU32(data + offset);
-            offset += 4;
-            if (payload_len == 0 || offset + payload_len > size)
-                return std::nullopt;
-            if (!state.decodeFrame(data + offset, payload_len, out))
-                return std::nullopt;
-            offset += payload_len;
-        }
-        if (size - offset < 4 ||
-            std::memcmp(data + offset, kNgcMagic, 4) != 0)
-            break;
-        size_t consumed = 0;
-        header = parseNgcHeader(data + offset, size - offset, consumed);
-        if (!header)
-            return std::nullopt;
-        if (header->width != out.width() || header->height != out.height())
-            return std::nullopt;
-        offset += consumed;
-    }
-    return out;
+    return codec::decodeStreams(
+        data, size, kNgcMagic, parseNgcHeader,
+        [&](const NgcStreamHeader &header) {
+            return NgcDecoderState(header, config.probe);
+        },
+        [](NgcDecoderState &state, const uint8_t *payload, size_t len,
+           Video &out) { return state.decodeFrame(payload, len, out); });
 }
 
 } // namespace vbench::ngc

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 
 #include "codec/deblock.h"
+#include "codec/frame_driver.h"
 #include "codec/interp.h"
 #include "codec/me.h"
-#include "codec/refplane.h"
 #include "codec/syntax.h"
 #include "codec/transform.h"
-#include "core/runtime_config.h"
 #include "kernels/kernel_ops.h"
 #include "ngc/ngc_bitstream.h"
 #include "ngc/ngc_intra.h"
@@ -20,8 +18,6 @@
 #include "obs/clock.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "sched/frame_threads.h"
-#include "sched/wavefront.h"
 
 namespace vbench::ngc {
 
@@ -36,8 +32,6 @@ using codec::MeContext;
 using codec::MeResult;
 using codec::MotionVector;
 using codec::RateController;
-using codec::RefFrame;
-using codec::RefPlane;
 using codec::SearchKind;
 using codec::SyntaxWriter;
 using uarch::KernelId;
@@ -153,68 +147,39 @@ struct NgcWorkerCtx {
     std::vector<CuPlan> arena;
 };
 
-/** Sequence encoder for one pass. */
-class NgcSequencer
+/**
+ * The NGC frame policy for codec::FrameDriver (frame loop, wavefront,
+ * slices and the probe path live there); one instance per pass.
+ * Cells are kSbSize superblocks: analysis plans and codes each
+ * quadtree into an SbRecord, and the entropy pass replays the records
+ * in raster order with fresh arithmetic contexts per slice.
+ */
+class NgcSequencer : public codec::FrameDriver<NgcSequencer, NgcWorkerCtx>
 {
   public:
+    /// The diagonal-down-left intra predictor reads the top row out to
+    /// x + 2*size — one full superblock past the top-right neighbor
+    /// plus its first column — so row r may trail row r-1 by 3.
+    static constexpr int kLag = 3;
+
     NgcSequencer(const NgcConfig &config, const NgcTools &tools,
                  const Video &source, RateController &rate)
-        : config_(config), tools_(tools), source_(source), rate_(rate),
-          probe_(config.probe),
-          tracer_(config.tracer ? config.tracer : obs::globalTracer()),
-          acc_(tracer_ ? &accum_ : nullptr),
-          cancel_(config.cancel),
-          padded_w_((source.width() + kSbSize - 1) & ~(kSbSize - 1)),
-          padded_h_((source.height() + kSbSize - 1) & ~(kSbSize - 1)),
-          sb_cols_(padded_w_ / kSbSize), sb_rows_(padded_h_ / kSbSize)
+        : FrameDriver(config, obs::Track::NgcEncode, kSbSize, tools.refs,
+                      source, rate),
+          config_(config), tools_(tools)
     {
-        int threads = config.frame_threads > 0
-            ? std::min(config.frame_threads, sched::kMaxFrameThreads)
-            : sched::decideFrameThreads(0).threads;
-        // A uarch probe assumes serial, single-writer recording; the
-        // wavefront would interleave its kernel stream nondeterministically.
-        if (probe_)
-            threads = 1;
-        frame_threads_ = std::clamp(threads, 1, std::max(1, sb_rows_));
-        wctx_ = std::vector<NgcWorkerCtx>(
-            static_cast<size_t>(frame_threads_));
-        for (NgcWorkerCtx &wc : wctx_)
-            wc.acc = tracer_ ? &wc.accum : nullptr;
-        if (frame_threads_ > 1)
-            runner_ = std::make_unique<sched::WavefrontRunner>(
-                frame_threads_);
-        if (tracer_)
-            row_start_ns_.resize(static_cast<size_t>(sb_rows_), 0);
-        sb_records_.resize(static_cast<size_t>(sb_cols_) * sb_rows_);
-
-        int slices = config.slice_count > 0
-            ? config.slice_count
-            : core::freshRuntimeConfig().slices;
-        // The fused probe path interleaves analysis with a single
-        // serial entropy writer; slices would change both the bytes
-        // and the kernel-record order the uarch models expect.
-        if (probe_)
-            slices = 1;
-        slice_count_ = std::clamp(
-            slices, 1,
-            std::min(static_cast<int>(codec::kMaxSlices),
-                     std::max(1, sb_rows_)));
-        slice_row_start_.resize(static_cast<size_t>(slice_count_) + 1);
-        for (int s = 0; s <= slice_count_; ++s)
-            slice_row_start_[static_cast<size_t>(s)] =
-                codec::sliceRowStart(sb_rows_, slice_count_, s);
-        slice_top_row_.resize(static_cast<size_t>(sb_rows_), 0);
-        for (int s = 0; s < slice_count_; ++s)
-            for (int r = slice_row_start_[static_cast<size_t>(s)];
-                 r < slice_row_start_[static_cast<size_t>(s) + 1]; ++r)
-                slice_top_row_[static_cast<size_t>(r)] =
-                    slice_row_start_[static_cast<size_t>(s)];
+        sb_records_.resize(static_cast<size_t>(cols_) * rows_);
     }
 
-    EncodeResult
-    run()
+  private:
+    friend class codec::FrameDriver<NgcSequencer, NgcWorkerCtx>;
+
+    /** Slices carry no coder state beyond the fresh contexts. */
+    struct SliceState {};
+
+    void
+    writeHeader(ByteBuffer &out) const
     {
-        EncodeResult result;
         NgcStreamHeader header;
         header.width = source_.width();
         header.height = source_.height();
@@ -223,298 +188,65 @@ class NgcSequencer
         header.profile = config_.profile;
         header.num_refs = static_cast<uint32_t>(tools_.refs);
         header.slice_count = static_cast<uint32_t>(slice_count_);
-        writeNgcHeader(result.stream, header);
-
-        for (int i = 0; i < source_.frameCount(); ++i) {
-            if (cancelledNow())
-                break;
-            const uint64_t frame_start = tracer_ ? obs::nowNs() : 0;
-            if (acc_)
-                accum_.reset();
-            const FrameType type = frameTypeFor(i);
-            int qp;
-            {
-                obs::ScopedStage rc(acc_, obs::Stage::RateControl);
-                qp = rate_.frameQp(type, i);
-            }
-            FrameStats stats;
-            const ByteBuffer payload =
-                encodeFrame(source_.frame(i), i, type, qp, stats);
-            if (cancelled_)
-                break;  // truncated payload, result abandoned upstream
-            codec::appendU32(result.stream,
-                             static_cast<uint32_t>(payload.size() + 1));
-            result.stream.push_back(codec::packFrameByte(type, qp));
-            result.stream.insert(result.stream.end(), payload.begin(),
-                                 payload.end());
-            stats.type = type;
-            stats.qp = qp;
-            stats.bytes = payload.size() + 5;
-            result.frames.push_back(stats);
-            {
-                obs::ScopedStage rc(acc_, obs::Stage::RateControl);
-                rate_.frameDone(type, (payload.size() + 5) * 8.0);
-            }
-            if (tracer_)
-                tracer_->addFrame(obs::Track::NgcEncode, i, frame_start,
-                                  obs::nowNs(), accum_);
-        }
-        result.rc_state = rate_.snapshot();
-        return result;
+        writeNgcHeader(out, header);
     }
 
-  private:
-    static void
-    toRational(double fps, uint32_t &num, uint32_t &den)
-    {
-        if (std::abs(fps - std::round(fps)) < 1e-9) {
-            num = static_cast<uint32_t>(std::lround(fps));
-            den = 1;
-        } else {
-            num = static_cast<uint32_t>(std::lround(fps * 1000));
-            den = 1000;
-        }
-    }
+    FrameType frameType(int, FrameType gop_type) const { return gop_type; }
 
-    bool
-    cancelledNow() const
-    {
-        return cancel_ && cancel_->load(std::memory_order_relaxed);
-    }
-
-    FrameType
-    frameTypeFor(int index) const
-    {
-        // Segment boundaries restart the GOP phase (split-and-stitch
-        // contract, see codec::EncoderConfig::segment_frames).
-        const int phase = config_.segment_frames > 0
-            ? index % config_.segment_frames
-            : index;
-        if (phase == 0)
-            return FrameType::I;
-        if (config_.gop > 0 && phase % config_.gop == 0)
-            return FrameType::I;
-        return FrameType::P;
-    }
-
-    ByteBuffer
-    encodeFrame(const Frame &original, int frame_index, FrameType type,
-                int qp, FrameStats &stats)
-    {
-        {
-            obs::ScopedStage setup(acc_, obs::Stage::FrameSetup);
-            src_ = padFrame(original);
-            if (type == FrameType::I)
-                refs_.clear();
-            recon_ = Frame(padded_w_, padded_h_);
-            cells_ = CellGrid(padded_w_ / 8, padded_h_ / 8);
-            qp_ = qp;
-            lambda_sad_ = codec::sadLambda(qp) * tools_.lambda_scale;
-        }
-
-        ByteBuffer payload;
-
-        if (probe_) {
-            // Fused serial path (a probe forces frame_threads = 1 and
-            // slice_count = 1): entropy emission interleaves with
-            // every superblock, so the probe sees the exact
-            // kernel-record ordering the uarch models (I-cache
-            // pressure in particular) expect. The stream is identical
-            // to the two-phase path — analysis never reads writer
-            // state.
-            codec::ArithSyntaxWriter writer(payload, nctx::kNumContexts);
-            double bits_done = 0;
-            for (int sby = 0; sby < sb_rows_; ++sby) {
-                for (int sbx = 0; sbx < sb_cols_; ++sbx) {
-                    analyzeSuperblock(sbx, sby, type, wctx_[0]);
-                    {
-                        obs::ScopedStage ec(wctx_[0].acc,
-                                            obs::Stage::EntropyCoding);
-                        SbCursor cur;
-                        writeTree(sb_records_[static_cast<size_t>(sby) *
-                                                  sb_cols_ +
-                                              sbx],
-                                  cur, kSbSize, 0, type, writer, stats);
-                    }
-                    const double bits = writer.bitsWritten();
-                    probe_->record(
-                        KernelId::EntropyArith,
-                        std::max<uint64_t>(
-                            1, static_cast<uint64_t>(bits - bits_done)),
-                        entropy_hash_, 64);
-                    bits_done = bits;
-                }
-            }
-            if (acc_) {
-                accum_.addFrom(wctx_[0].accum);
-                wctx_[0].accum.reset();
-            }
-            {
-                obs::ScopedStage ec(acc_, obs::Stage::EntropyCoding);
-                writer.finish();
-            }
-            probe_->record(KernelId::RateControl,
-                           static_cast<uint64_t>(sb_cols_) * sb_rows_ * 4);
-            finishFrame();
-            return payload;
-        }
-
-        // ---- Phase 1: analysis, wavefront-parallel across SB rows. --
-        const auto cell = [&](int sby, int sbx, int slot) {
-            if (tracer_ && sbx == 0)
-                row_start_ns_[static_cast<size_t>(sby)] = obs::nowNs();
-            analyzeSuperblock(sbx, sby, type,
-                              wctx_[static_cast<size_t>(slot)]);
-            if (tracer_ && sbx == sb_cols_ - 1)
-                tracer_->addSpan(obs::Track::NgcEncode,
-                                 obs::Stage::WavefrontRow, frame_index,
-                                 row_start_ns_[static_cast<size_t>(sby)],
-                                 obs::nowNs());
-        };
-        bool complete = true;
-        if (frame_threads_ > 1) {
-            // The diagonal-down-left intra predictor reads the top row
-            // out to x + 2*size — one full superblock past the
-            // top-right neighbor plus its first column — so row r may
-            // trail row r-1 by 3 superblocks.
-            complete = runner_->run(
-                sb_rows_, sb_cols_, /*lag=*/3,
-                [&](int row, int col, int slot) { cell(row, col, slot); },
-                cancel_);
-        } else {
-            for (int sby = 0; sby < sb_rows_ && complete; ++sby) {
-                if (cancelledNow()) {
-                    complete = false;
-                    break;
-                }
-                for (int sbx = 0; sbx < sb_cols_; ++sbx)
-                    cell(sby, sbx, 0);
-            }
-        }
-        if (acc_) {
-            for (NgcWorkerCtx &wc : wctx_) {
-                accum_.addFrom(wc.accum);
-                wc.accum.reset();
-            }
-        }
-        if (!complete) {
-            cancelled_ = true;
-            return payload;
-        }
-
-        // ---- Phase 2: entropy pass. Single-slice emits straight into
-        // the frame payload in raster order (byte-identical to the
-        // pre-slice format); multi-slice emits each band into its own
-        // buffer — the arithmetic contexts restart at every slice
-        // head, so bands are independent and run on the wavefront
-        // worker set. (A probe never reaches here; it takes the fused
-        // path above.) ----
-        if (slice_count_ == 1) {
-            codec::ArithSyntaxWriter writer(payload, nctx::kNumContexts);
-            // Scope ends before finishFrame: deblock and reference
-            // bookkeeping must not count toward the entropy tail the
-            // slice bench compares against.
-            {
-                obs::ScopedStage ec(acc_, obs::Stage::EntropyCoding);
-                for (int sby = 0; sby < sb_rows_; ++sby) {
-                    for (int sbx = 0; sbx < sb_cols_; ++sbx) {
-                        SbCursor cur;
-                        writeTree(sb_records_[static_cast<size_t>(sby) *
-                                                  sb_cols_ +
-                                              sbx],
-                                  cur, kSbSize, 0, type, writer, stats);
-                    }
-                }
-                writer.finish();
-            }
-            finishFrame();
-            return payload;
-        }
-
-        std::vector<ByteBuffer> slice_bufs(
-            static_cast<size_t>(slice_count_));
-        std::vector<FrameStats> slice_stats(
-            static_cast<size_t>(slice_count_));
-        const auto write_slice = [&](int s, int slot) {
-            const uint64_t start_ns = tracer_ ? obs::nowNs() : 0;
-            NgcWorkerCtx &wc = wctx_[static_cast<size_t>(slot)];
-            codec::ArithSyntaxWriter slice_writer(
-                slice_bufs[static_cast<size_t>(s)], nctx::kNumContexts);
-            {
-                obs::ScopedStage ec(wc.acc, obs::Stage::EntropyCoding);
-                for (int sby = slice_row_start_[static_cast<size_t>(s)];
-                     sby < slice_row_start_[static_cast<size_t>(s) + 1];
-                     ++sby) {
-                    for (int sbx = 0; sbx < sb_cols_; ++sbx) {
-                        SbCursor cur;
-                        writeTree(
-                            sb_records_[static_cast<size_t>(sby) *
-                                            sb_cols_ +
-                                        sbx],
-                            cur, kSbSize, 0, type, slice_writer,
-                            slice_stats[static_cast<size_t>(s)]);
-                    }
-                }
-                slice_writer.finish();
-            }
-            if (tracer_)
-                tracer_->addSpan(obs::Track::NgcEncode,
-                                 obs::Stage::EntropySlice, frame_index,
-                                 start_ns, obs::nowNs());
-        };
-        if (frame_threads_ > 1) {
-            // One "row" per slice, no cross-row dependencies.
-            complete = runner_->run(
-                slice_count_, 1, /*lag=*/0,
-                [&](int row, int, int slot) { write_slice(row, slot); },
-                cancel_);
-        } else {
-            for (int s = 0; s < slice_count_ && complete; ++s) {
-                if (cancelledNow()) {
-                    complete = false;
-                    break;
-                }
-                write_slice(s, 0);
-            }
-        }
-        if (acc_) {
-            for (NgcWorkerCtx &wc : wctx_) {
-                accum_.addFrom(wc.accum);
-                wc.accum.reset();
-            }
-        }
-        if (!complete) {
-            cancelled_ = true;
-            return payload;
-        }
-        for (const FrameStats &ss : slice_stats) {
-            stats.intra_mbs += ss.intra_mbs;
-            stats.skip_mbs += ss.skip_mbs;
-        }
-        for (const ByteBuffer &buf : slice_bufs) {
-            codec::appendU32(payload, static_cast<uint32_t>(buf.size()));
-            payload.insert(payload.end(), buf.begin(), buf.end());
-        }
-
-        finishFrame();
-        return payload;
-    }
-
-    /** Post-entropy frame tail: deblock and reference-list update. */
     void
-    finishFrame()
+    beginFrame(const Frame &original)
     {
-        {
-            obs::ScopedStage db(acc_, obs::Stage::Deblock);
-            deblockMapped();
-        }
+        src_ = padFrame(original);
+        cells_ = CellGrid(padded_w_ / 8, padded_h_ / 8);
+        lambda_sad_ = codec::sadLambda(frame_qp_) * tools_.lambda_scale;
+    }
 
-        obs::ScopedStage setup(acc_, obs::Stage::FrameSetup);
-        refs_.push_front(RefFrame{RefPlane(recon_.y()),
-                                  RefPlane(recon_.u()),
-                                  RefPlane(recon_.v())});
-        while (static_cast<int>(refs_.size()) > std::max(1, tools_.refs))
-            refs_.pop_back();
+    void
+    analyzeCell(int row, int col, NgcWorkerCtx &wc)
+    {
+        analyzeSuperblock(col, row, frame_type_, wc);
+    }
+
+    std::unique_ptr<SyntaxWriter>
+    makeWriter(ByteBuffer &out) const
+    {
+        return std::make_unique<codec::ArithSyntaxWriter>(
+            out, nctx::kNumContexts);
+    }
+
+    SliceState beginSlice() const { return {}; }
+
+    void
+    writeCell(int row, int col, SyntaxWriter &writer, FrameStats &stats,
+              SliceState &)
+    {
+        SbCursor cur;
+        writeTree(sb_records_[static_cast<size_t>(row) * cols_ + col], cur,
+                  kSbSize, 0, frame_type_, writer, stats);
+    }
+
+    KernelId entropyKernel() const { return KernelId::EntropyArith; }
+
+    void
+    mixEntropyHash(uint64_t &hash, int row, int col) const
+    {
+        for (const LeafRecord &leaf :
+             sb_records_[static_cast<size_t>(row) * cols_ + col].leaves)
+            hash = hash * 0x9E3779B97F4A7C15ull +
+                static_cast<uint64_t>(leaf.nonzero);
+    }
+
+    uint64_t
+    rateControlUnits() const
+    {
+        return static_cast<uint64_t>(cols_) * rows_ * 4;
+    }
+
+    void
+    deblock()
+    {
+        obs::ScopedStage db(acc_, obs::Stage::Deblock);
+        deblockMapped();
     }
 
     Frame
@@ -553,7 +285,7 @@ class NgcSequencer
                                       : codec::MbMode::Inter16;
                 info.mv = cell.mv;
                 info.ref = cell.ref;
-                info.qp = static_cast<uint8_t>(qp_);
+                info.qp = static_cast<uint8_t>(frame_qp_);
                 info.coded = any_coded;
             }
         }
@@ -566,7 +298,7 @@ class NgcSequencer
     analyzeSuperblock(int sbx, int sby, FrameType type, NgcWorkerCtx &wc)
     {
         SbRecord &rec =
-            sb_records_[static_cast<size_t>(sby) * sb_cols_ + sbx];
+            sb_records_[static_cast<size_t>(sby) * cols_ + sbx];
         rec.clear();
         int root;
         {
@@ -830,7 +562,7 @@ class NgcSequencer
                     size, residual, 8, 8, 8);
                 nonzero += forwardTransform8x8(residual,
                                                dc_y[ty * tus + tx],
-                                               ac_y[ty * tus + tx], qp_,
+                                               ac_y[ty * tus + tx], frame_qp_,
                                                intra);
             }
         }
@@ -849,7 +581,7 @@ class NgcSequencer
                             residual, 8, 8, 8);
                         nonzero += forwardTransform8x8(
                             residual, dc_c[plane][ty * ctus + tx],
-                            ac_c[plane][ty * ctus + tx], qp_, intra);
+                            ac_c[plane][ty * ctus + tx], frame_qp_, intra);
                     }
                 }
             } else {
@@ -860,7 +592,7 @@ class NgcSequencer
                 int32_t coefs[16];
                 codec::forwardTransform4x4(residual, coefs);
                 nonzero += codec::quantize4x4(coefs, levels4_c[plane],
-                                              qp_, intra);
+                                              frame_qp_, intra);
             }
         }
         if (probe_) {
@@ -1018,13 +750,6 @@ class NgcSequencer
         }
         if (!leaf.use_inter)
             ++stats.intra_mbs;
-
-        // Probe-only decision hash. Guarded because the probe path is
-        // the only reader and the only serial caller — slice-parallel
-        // replay must not share mutable state across workers.
-        if (probe_)
-            entropy_hash_ = entropy_hash_ * 0x9E3779B97F4A7C15ull +
-                static_cast<uint64_t>(leaf.nonzero);
     }
 
     void
@@ -1049,7 +774,7 @@ class NgcSequencer
                 for (int tx = 0; tx < tus; ++tx) {
                     int16_t residual[64];
                     inverseTransform8x8(dc_y[ty * tus + tx],
-                                        ac_y[ty * tus + tx], qp_,
+                                        ac_y[ty * tus + tx], frame_qp_,
                                         residual);
                     addBlock(recon_.y(), x + tx * 8, y + ty * 8, 8,
                              pred_y + ty * 8 * size + tx * 8, size,
@@ -1066,7 +791,7 @@ class NgcSequencer
                             int16_t residual[64];
                             inverseTransform8x8(
                                 dc_c[plane][ty * ctus + tx],
-                                ac_c[plane][ty * ctus + tx], qp_,
+                                ac_c[plane][ty * ctus + tx], frame_qp_,
                                 residual);
                             addBlock(rplane, cx + tx * 8, cy + ty * 8, 8,
                                      pred_c + ty * 8 * csize + tx * 8,
@@ -1077,7 +802,7 @@ class NgcSequencer
                 } else {
                     int32_t coefs[16];
                     int16_t residual[16];
-                    codec::dequantize4x4(levels4_c[plane], coefs, qp_);
+                    codec::dequantize4x4(levels4_c[plane], coefs, frame_qp_);
                     codec::inverseTransform4x4(coefs, residual);
                     addBlock(rplane, cx, cy, 4, pred_c, 4, residual, 4);
                     ++inv_blocks;
@@ -1119,39 +844,11 @@ class NgcSequencer
 
     const NgcConfig &config_;
     const NgcTools &tools_;
-    const Video &source_;
-    RateController &rate_;
-    uarch::UarchProbe *probe_;
-    obs::Tracer *tracer_;
-    obs::StageAccum accum_;
-    obs::StageAccum *acc_;
-    const std::atomic<bool> *cancel_;
-    int padded_w_;
-    int padded_h_;
-    int sb_cols_;
-    int sb_rows_;
-
-    int frame_threads_ = 1;
-    std::unique_ptr<sched::WavefrontRunner> runner_;
-    std::vector<NgcWorkerCtx> wctx_;
     std::vector<SbRecord> sb_records_;
-    std::vector<uint64_t> row_start_ns_;
-    bool cancelled_ = false;
-
-    int slice_count_ = 1;
-    /// Band boundaries: slice s spans SB rows [start[s], start[s+1]).
-    std::vector<int> slice_row_start_;
-    /// Per SB row, the first row of its slice (spatial prediction must
-    /// not read above it — slices decode independently).
-    std::vector<int> slice_top_row_;
 
     Frame src_;
-    Frame recon_;
     CellGrid cells_;
-    std::deque<RefFrame> refs_;
-    int qp_ = 26;
     double lambda_sad_ = 1.0;
-    uint64_t entropy_hash_ = 0;
 };
 
 } // namespace
@@ -1164,29 +861,11 @@ namespace {
 EncodeResult
 ngcEncodeFirstPass(const NgcConfig &config, const video::Video &source)
 {
-    NgcConfig pass1_cfg = config;
+    NgcConfig pass1_cfg = codec::firstPassConfig(config, source);
     pass1_cfg.speed = 2;
-    pass1_cfg.rc.mode = codec::RcMode::Cqp;
-    pass1_cfg.rc.qp = 30;
-    pass1_cfg.rc.fps = source.fps();
-    pass1_cfg.rc.pixels_per_frame =
-        static_cast<double>(source.pixelsPerFrame());
-    pass1_cfg.rc_in.reset();
-    pass1_cfg.pass_one = nullptr;
     RateController pass1_rate(pass1_cfg.rc);
     const NgcTools pass1_tools = toolsFor(config.profile, 2);
-    NgcSequencer pass1(pass1_cfg, pass1_tools, source, pass1_rate);
-    return pass1.run();
-}
-
-codec::PassOneStats
-ngcStatsFromFirstPass(const EncodeResult &first)
-{
-    codec::PassOneStats stats;
-    stats.pass_qp = 30;
-    for (const FrameStats &f : first.frames)
-        stats.frame_bits.push_back(f.bytes * 8.0);
-    return stats;
+    return NgcSequencer(pass1_cfg, pass1_tools, source, pass1_rate).run();
 }
 
 } // namespace
@@ -1194,47 +873,18 @@ ngcStatsFromFirstPass(const EncodeResult &first)
 codec::PassOneStats
 collectNgcPassOneStats(const NgcConfig &config, const video::Video &source)
 {
-    return ngcStatsFromFirstPass(ngcEncodeFirstPass(config, source));
+    return codec::passOneStatsFrom(ngcEncodeFirstPass(config, source));
 }
 
 EncodeResult
 NgcEncoder::encode(const video::Video &source)
 {
-    codec::RateControlConfig rc = config_.rc;
-    rc.fps = source.fps();
-    rc.pixels_per_frame = static_cast<double>(source.pixelsPerFrame());
-
     const NgcTools tools = toolsFor(config_.profile, config_.speed);
-
-    if (rc.mode == codec::RcMode::TwoPass) {
-        codec::PassOneStats stats;
-        if (config_.pass_one) {
-            stats = *config_.pass_one;
-        } else {
-            const EncodeResult first =
-                ngcEncodeFirstPass(config_, source);
-            if (config_.cancel &&
-                config_.cancel->load(std::memory_order_relaxed))
-                return first;  // abandoned upstream; skip second pass
-            stats = ngcStatsFromFirstPass(first);
-        }
-
-        RateController rate(rc);
-        rate.setPassOneStats(stats);
-        // Whole-clip stats shift local indices by frames already
-        // encoded; segment-local stats index from this segment's 0.
-        if (config_.rc_in)
-            rate.restore(*config_.rc_in,
-                         config_.pass_one ? config_.rc_in->frames_done : 0);
-        NgcSequencer pass2(config_, tools, source, rate);
-        return pass2.run();
-    }
-
-    RateController rate(rc);
-    if (config_.rc_in)
-        rate.restore(*config_.rc_in);
-    NgcSequencer seq(config_, tools, source, rate);
-    return seq.run();
+    return codec::encodeRateControlled(
+        config_, source, [&] { return ngcEncodeFirstPass(config_, source); },
+        [&](RateController &rate) {
+            return NgcSequencer(config_, tools, source, rate).run();
+        });
 }
 
 } // namespace vbench::ngc

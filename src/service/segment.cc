@@ -28,9 +28,18 @@ splitVideo(const video::Video &source, int segment_frames)
     return segments;
 }
 
+namespace {
+
+/**
+ * The segment chain for one codec: `Encoder` runs each segment,
+ * `collect` is the codec's pass-one stats collector and `stitch` its
+ * stream stitcher.
+ */
+template <class Encoder, class Config, class Collect, class Stitch>
 SegmentedEncodeResult
-encodeSegmentedVbc(const codec::EncoderConfig &base,
-                   const video::Video &source, int segment_frames)
+encodeSegmented(const Config &base, const video::Video &source,
+                int segment_frames, const Collect &collect,
+                const Stitch &stitch)
 {
     SegmentedEncodeResult result;
     const std::vector<video::Video> parts =
@@ -40,7 +49,7 @@ encodeSegmentedVbc(const codec::EncoderConfig &base,
         return result;
     }
 
-    codec::EncoderConfig cfg = base;
+    Config cfg = base;
     cfg.segment_frames = segment_frames;
     cfg.rc_in.reset();
     cfg.pass_one = nullptr;
@@ -52,10 +61,8 @@ encodeSegmentedVbc(const codec::EncoderConfig &base,
     // whole-file encode would.
     codec::PassOneStats whole_clip_stats;
     if (cfg.rc.mode == codec::RcMode::TwoPass) {
-        whole_clip_stats.pass_qp = 30;
         for (const video::Video &part : parts) {
-            const codec::PassOneStats s =
-                codec::collectPassOneStats(cfg, part);
+            const codec::PassOneStats s = collect(cfg, part);
             whole_clip_stats.frame_bits.insert(
                 whole_clip_stats.frame_bits.end(), s.frame_bits.begin(),
                 s.frame_bits.end());
@@ -65,16 +72,15 @@ encodeSegmentedVbc(const codec::EncoderConfig &base,
 
     std::optional<codec::RcSnapshot> carry;
     for (const video::Video &part : parts) {
-        codec::EncoderConfig seg_cfg = cfg;
+        Config seg_cfg = cfg;
         seg_cfg.rc_in = carry;
-        codec::Encoder encoder(seg_cfg);
-        codec::EncodeResult encoded = encoder.encode(part);
+        codec::EncodeResult encoded = Encoder(seg_cfg).encode(part);
         carry = encoded.rc_state;
         result.segments.push_back(std::move(encoded.stream));
     }
 
     const std::optional<codec::ByteBuffer> stitched =
-        codec::stitchStreams(result.segments);
+        stitch(result.segments);
     if (!stitched) {
         result.error = "segment streams did not stitch";
         return result;
@@ -84,55 +90,24 @@ encodeSegmentedVbc(const codec::EncoderConfig &base,
     return result;
 }
 
+} // namespace
+
+SegmentedEncodeResult
+encodeSegmentedVbc(const codec::EncoderConfig &base,
+                   const video::Video &source, int segment_frames)
+{
+    return encodeSegmented<codec::Encoder>(base, source, segment_frames,
+                                           codec::collectPassOneStats,
+                                           codec::stitchStreams);
+}
+
 SegmentedEncodeResult
 encodeSegmentedNgc(const ngc::NgcConfig &base, const video::Video &source,
                    int segment_frames)
 {
-    SegmentedEncodeResult result;
-    const std::vector<video::Video> parts =
-        splitVideo(source, segment_frames);
-    if (parts.empty()) {
-        result.error = "no segments (empty source or segment_frames<=0)";
-        return result;
-    }
-
-    ngc::NgcConfig cfg = base;
-    cfg.segment_frames = segment_frames;
-    cfg.rc_in.reset();
-    cfg.pass_one = nullptr;
-
-    codec::PassOneStats whole_clip_stats;
-    if (cfg.rc.mode == codec::RcMode::TwoPass) {
-        whole_clip_stats.pass_qp = 30;
-        for (const video::Video &part : parts) {
-            const codec::PassOneStats s =
-                ngc::collectNgcPassOneStats(cfg, part);
-            whole_clip_stats.frame_bits.insert(
-                whole_clip_stats.frame_bits.end(), s.frame_bits.begin(),
-                s.frame_bits.end());
-        }
-        cfg.pass_one = &whole_clip_stats;
-    }
-
-    std::optional<codec::RcSnapshot> carry;
-    for (const video::Video &part : parts) {
-        ngc::NgcConfig seg_cfg = cfg;
-        seg_cfg.rc_in = carry;
-        ngc::NgcEncoder encoder(seg_cfg);
-        codec::EncodeResult encoded = encoder.encode(part);
-        carry = encoded.rc_state;
-        result.segments.push_back(std::move(encoded.stream));
-    }
-
-    const std::optional<codec::ByteBuffer> stitched =
-        ngc::stitchNgcStreams(result.segments);
-    if (!stitched) {
-        result.error = "segment streams did not stitch";
-        return result;
-    }
-    result.stitched = *stitched;
-    result.ok = true;
-    return result;
+    return encodeSegmented<ngc::NgcEncoder>(base, source, segment_frames,
+                                            ngc::collectNgcPassOneStats,
+                                            ngc::stitchNgcStreams);
 }
 
 } // namespace vbench::service

@@ -14,6 +14,7 @@
 
 #include <atomic>
 
+#include "codec/encoder.h"
 #include "codec/stitch.h"
 #include "core/runtime_config.h"
 #include "core/transcoder.h"
@@ -420,9 +421,8 @@ TranscodeService::run(const std::vector<ServiceRequest> &workload)
                 // now: slices change the encoded bytes, so the cache
                 // key and any remote worker must see the resolved
                 // value, never "read your own VBENCH_SLICES".
-                if (rr.tmpl.slice_count <= 0)
-                    rr.tmpl.slice_count =
-                        core::freshRuntimeConfig().slices;
+                rr.tmpl.slice_count =
+                    codec::resolveSliceCount(rr.tmpl.slice_count);
                 rr.chained = isChained(rr.tmpl);
                 rr.streams.resize(static_cast<size_t>(ar.segments));
                 rr.handles.resize(static_cast<size_t>(ar.segments));
