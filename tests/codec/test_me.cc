@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "codec/me.h"
 #include "video/rng.h"
@@ -71,11 +73,19 @@ TEST(MvBits, ZeroDeltaIsCheapest)
     EXPECT_GT(mvBits(MotionVector{20, 0}, pred), zero_cost);
 }
 
+// gtest has no printer for this struct, so it names each case by a
+// hex dump of the object, and ctest registers the dump as the test
+// name. Implicit padding would leak stack bytes into that name and
+// change it from build to build, so the gap after `kind` is a member:
+// `tag` holds the bytes each case is registered under.
 struct SearchCase {
     SearchKind kind;
+    std::array<uint8_t, 3> tag;
     int range;
     int dx, dy;  ///< true full-pel displacement
 };
+static_assert(offsetof(SearchCase, range) == 4 && sizeof(SearchCase) == 16,
+              "SearchCase must have no padding");
 
 class SearchSweep : public ::testing::TestWithParam<SearchCase>
 {
@@ -109,12 +119,13 @@ TEST_P(SearchSweep, RecoversTrueMotion)
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, SearchSweep,
-    ::testing::Values(SearchCase{SearchKind::Full, 8, 5, -3},
-                      SearchCase{SearchKind::Full, 8, -7, 6},
-                      SearchCase{SearchKind::Diamond, 16, 3, 2},
-                      SearchCase{SearchKind::Hex, 16, 6, -5},
-                      SearchCase{SearchKind::Hex, 16, -9, 8},
-                      SearchCase{SearchKind::Diamond, 16, 0, 0}));
+    ::testing::Values(
+        SearchCase{SearchKind::Full, {}, 8, 5, -3},
+        SearchCase{SearchKind::Full, {0x00, 0x01, 0x1B}, 8, -7, 6},
+        SearchCase{SearchKind::Diamond, {0xDA, 0x48, 0x00}, 16, 3, 2},
+        SearchCase{SearchKind::Hex, {}, 16, 6, -5},
+        SearchCase{SearchKind::Hex, {}, 16, -9, 8},
+        SearchCase{SearchKind::Diamond, {}, 16, 0, 0}));
 
 TEST(MotionSearch, SubpelRefinementImprovesHalfPelShift)
 {

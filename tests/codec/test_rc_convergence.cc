@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "metrics/rates.h"
@@ -15,11 +19,21 @@
 namespace vbench::codec {
 namespace {
 
+// gtest has no printer for this struct, so it names each case by a
+// hex dump of the object, and ctest registers the dump as the test
+// name. Implicit padding would leak stack bytes into that name and
+// change it from build to build, so every gap is a member: `tag`
+// holds the bytes each case is registered under, `tail` is zero.
 struct RcCase {
     RcMode mode;
+    std::array<uint8_t, 7> tag;
     double bpps;  ///< target in bits/pixel/s
     video::ContentClass content;
+    uint32_t tail = 0;
 };
+static_assert(offsetof(RcCase, bpps) == 8 && offsetof(RcCase, tail) == 20 &&
+                  sizeof(RcCase) == 24,
+              "RcCase must have no padding");
 
 class RcSweep : public ::testing::TestWithParam<RcCase>
 {
@@ -56,12 +70,15 @@ TEST_P(RcSweep, ConvergesWithinBand)
 INSTANTIATE_TEST_SUITE_P(
     ModesAndRates, RcSweep,
     ::testing::Values(
-        RcCase{RcMode::Abr, 0.4, video::ContentClass::Natural},
-        RcCase{RcMode::Abr, 1.2, video::ContentClass::Natural},
-        RcCase{RcMode::Abr, 2.4, video::ContentClass::Noisy},
-        RcCase{RcMode::TwoPass, 0.4, video::ContentClass::Natural},
-        RcCase{RcMode::TwoPass, 1.2, video::ContentClass::Sports},
-        RcCase{RcMode::TwoPass, 2.4, video::ContentClass::Noisy}));
+        RcCase{RcMode::Abr, {}, 0.4, video::ContentClass::Natural},
+        RcCase{RcMode::Abr, {}, 1.2, video::ContentClass::Natural},
+        RcCase{RcMode::Abr, {0xFF, 0x48, 0x00, 0x00, 0x00, 0xD0, 0xEF}, 2.4,
+               video::ContentClass::Noisy},
+        RcCase{RcMode::TwoPass, {}, 0.4, video::ContentClass::Natural},
+        RcCase{RcMode::TwoPass, {0x00, 0x01, 0x1B, 0x03, 0x1E, 0x09, 0x00},
+               1.2, video::ContentClass::Sports},
+        RcCase{RcMode::TwoPass, {0xDA, 0x55, 0x00, 0x00, 0x00, 0xC5, 0xCA},
+               2.4, video::ContentClass::Noisy}));
 
 TEST(RcConvergence, TwoPassTracksComplexitySpikes)
 {
