@@ -371,7 +371,8 @@ runDigest()
 
     // The encoders' other frame modes: 4-slice entropy (bands coded
     // slice-parallel) and two-pass rate control (first pass, then a
-    // budgeted second pass), one line each per codec.
+    // budgeted second pass), one line each per codec, plus VBC's
+    // slowest preset.
     codec::EncoderConfig vbc_cfg;
     vbc_cfg.rc.mode = codec::RcMode::Cqp;
     vbc_cfg.rc.qp = 30;
@@ -384,6 +385,9 @@ runDigest()
     vbc_cfg.effort = 5;
     vbc_cfg.slice_count = 1;
     printStreamLine("vbc twopass", codec::Encoder(vbc_cfg).encode(clip));
+    // Effort 9: the exhaustive full-pel search over four references.
+    vbc_cfg.effort = 9;
+    printStreamLine("vbc effort9", codec::Encoder(vbc_cfg).encode(clip));
 
     ngc::NgcConfig ngc_cfg;
     ngc_cfg.rc.mode = codec::RcMode::Cqp;

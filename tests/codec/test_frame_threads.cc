@@ -133,6 +133,18 @@ TEST(FrameThreadsVbc, AbrRateControl)
     expectVbcBitExact(testClip(), cfg);
 }
 
+TEST(FrameThreadsVbc, FullSearchTwoPassEffort9)
+{
+    // Effort 9 is the exhaustive full-pel search over four references
+    // under two-pass rate control: the Popular reference encode.
+    codec::EncoderConfig cfg;
+    cfg.rc.mode = codec::RcMode::TwoPass;
+    cfg.rc.bitrate_bps = 400e3;
+    cfg.effort = 9;
+    cfg.gop = 4;
+    expectVbcBitExact(testClip(), cfg);
+}
+
 TEST(FrameThreadsVbc, WidthsBeyondRowCountClampSafely)
 {
     // 64 rows requested, 4 macroblock rows available.
@@ -167,6 +179,14 @@ TEST(FrameThreadsNgc, Vp9LikeProfile)
 {
     expectNgcBitExact(testClip(),
                       ngcCqp(28, ngc::NgcProfile::Vp9Like));
+}
+
+TEST(FrameThreadsNgc, Vp9LikeFullSearchSpeed0)
+{
+    // Speed 0 is the Vp9Like profile's exhaustive full-pel search.
+    ngc::NgcConfig cfg = ngcCqp(28, ngc::NgcProfile::Vp9Like);
+    cfg.speed = 0;
+    expectNgcBitExact(testClip(), cfg);
 }
 
 TEST(FrameThreadsNgc, UnalignedDimensionsNoisyContent)

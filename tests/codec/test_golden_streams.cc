@@ -4,8 +4,9 @@
  * and NGC streams over a small matrix of the encoder's frame modes —
  * single and multi-slice entropy, Cqp / Abr / TwoPass rate control,
  * a segment chain that carries rate-controller state (rc_in) and
- * whole-clip pass-one stats across the cut, and a frame size the
- * macroblock and superblock grids do not divide.
+ * whole-clip pass-one stats across the cut, a frame size the
+ * macroblock and superblock grids do not divide, and the presets that
+ * run the exhaustive full-pel motion search.
  *
  * Unlike test_frame_threads and test_slices, which compare encodes
  * within one build, these values pin the bytes across commits: a
@@ -36,7 +37,7 @@
 namespace vbench::codec {
 namespace {
 
-enum class Codec { Vbc, Ngc };
+enum class Codec { Vbc, Ngc, NgcVp9 };  // NgcVp9: NGC's Vp9Like profile
 
 struct Case {
     const char *name;
@@ -86,6 +87,14 @@ const Case kCases[] = {
      true},
     {"ngc_twopass_chain_s4", Codec::Ngc, 200, 120, 4, RcMode::TwoPass, 1,
      true},
+    // The exhaustive (SearchKind::Full) integer search: VBC efforts 8
+    // and 9 and NGC's Vp9Like profile at speed 0.
+    {"vbc_e9_twopass_s1", Codec::Vbc, 200, 120, 1, RcMode::TwoPass, 9,
+     false},
+    {"vbc_e9_twopass_chain_s1", Codec::Vbc, 200, 120, 1, RcMode::TwoPass,
+     9, true},
+    {"vbc_e8_cqp_s1", Codec::Vbc, 160, 128, 1, RcMode::Cqp, 8, false},
+    {"ngc_vp9_cqp_s1", Codec::NgcVp9, 160, 128, 1, RcMode::Cqp, 0, false},
 };
 
 const Golden kGolden[] = {
@@ -127,6 +136,14 @@ const Golden kGolden[] = {
      0xcd82a14463b689cfull, 0x23f91865b7904bb8ull},
     {"ngc_twopass_chain_s4", 2166,
      0x5173ddc91be252aeull, 0x101d7c8e5a0caba9ull},
+    {"vbc_e9_twopass_s1", 3266,
+     0xebb5ab9de4cbffb3ull, 0xca391cb11e118b8aull},
+    {"vbc_e9_twopass_chain_s1", 3279,
+     0xe2f50227f3674eb0ull, 0xc67435e5508cdc95ull},
+    {"vbc_e8_cqp_s1", 1410,
+     0xb26942f7abd74e7aull, 0x5eb2c49647ef9944ull},
+    {"ngc_vp9_cqp_s1", 1267,
+     0x7674912139a73901ull, 0x1bbb6bd52c8f4346ull},
 };
 
 video::Video
@@ -246,6 +263,8 @@ encodeAt(const Case &c, int frame_threads)
     }
     ngc::NgcConfig cfg;
     cfg.rc = rcFor(c);
+    if (c.codec == Codec::NgcVp9)
+        cfg.profile = ngc::NgcProfile::Vp9Like;
     cfg.speed = c.effort;
     cfg.gop = 4;
     cfg.slice_count = c.slices;

@@ -239,6 +239,52 @@ TEST(ProbeFingerprint, VbcKernelStreamIsPinned)
     EXPECT_EQ(probe.hash, 0x7daf5668c62c603eull);
 }
 
+// The exhaustive (SearchKind::Full) integer search: every candidate
+// it visits counts in the motion-search records, so these pin its
+// candidate and decision-bit stream too.
+TEST(ProbeFingerprint, VbcEffort9KernelStreamIsPinned)
+{
+    FingerprintProbe probe;
+    codec::EncoderConfig cfg;
+    cfg.rc.mode = codec::RcMode::Cqp;
+    cfg.rc.qp = 28;
+    cfg.effort = 9;
+    cfg.gop = 3;
+    cfg.probe = &probe;
+    codec::Encoder(cfg).encode(fingerprintClip());
+    EXPECT_EQ(probe.records, 4956u);
+    EXPECT_EQ(probe.hash, 0x25c7e7880ecc6db9ull);
+}
+
+TEST(ProbeFingerprint, VbcEffort8KernelStreamIsPinned)
+{
+    FingerprintProbe probe;
+    codec::EncoderConfig cfg;
+    cfg.rc.mode = codec::RcMode::Cqp;
+    cfg.rc.qp = 28;
+    cfg.effort = 8;
+    cfg.gop = 3;
+    cfg.probe = &probe;
+    codec::Encoder(cfg).encode(fingerprintClip());
+    EXPECT_EQ(probe.records, 4956u);
+    EXPECT_EQ(probe.hash, 0xc93583a777390202ull);
+}
+
+TEST(ProbeFingerprint, NgcVp9Speed0KernelStreamIsPinned)
+{
+    FingerprintProbe probe;
+    ngc::NgcConfig cfg;
+    cfg.rc.mode = codec::RcMode::Cqp;
+    cfg.rc.qp = 28;
+    cfg.profile = ngc::NgcProfile::Vp9Like;
+    cfg.speed = 0;
+    cfg.gop = 3;
+    cfg.probe = &probe;
+    ngc::NgcEncoder(cfg).encode(fingerprintClip());
+    EXPECT_EQ(probe.records, 5019u);
+    EXPECT_EQ(probe.hash, 0xe54a9fc27c11652full);
+}
+
 TEST(ProbeFingerprint, NgcKernelStreamIsPinned)
 {
     FingerprintProbe probe;
