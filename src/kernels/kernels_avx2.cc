@@ -7,10 +7,13 @@
  * Overrides only the kernels that benefit from 256-bit lanes: SAD (row
  * pairing keeps 16-wide macroblocks on full-width psadbw), the 8x8
  * transform pair (two 4x4 sub-blocks ride in the two 128-bit lanes),
- * quant/dequant, interpolation, residual diff/reconstruction, and the
- * PSNR sum of squares. SATD, the single 4x4 transforms, deblocking and
- * the 8-wide SSIM window stay on the SSE2 versions, which already fill
- * their lanes. All the same bit-exactness arguments as the SSE2 TU
+ * quant/dequant, vertical and 2-D interpolation, the residual diff,
+ * and the PSNR sum of squares. SATD, the single 4x4 transforms,
+ * horizontal interpolation, reconstruction (add + clamp), deblocking
+ * and the 8-wide SSIM window stay on the SSE2 versions: they already
+ * fill their lanes, and the AVX2 versions of horizontal interpolation
+ * and reconstruction measured slower than SSE2 at every block size
+ * the codecs use. All the same bit-exactness arguments as the SSE2 TU
  * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw).
  */
 
@@ -28,12 +31,6 @@
 namespace vbench::kernels {
 
 namespace {
-
-inline uint8_t
-clamp255(int v)
-{
-    return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
-}
 
 /** Load 16 bytes and zero-extend to 16 uint16 lanes. */
 inline __m256i
@@ -172,10 +169,11 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
 
 // ----- Interpolation -----------------------------------------------
 
-inline void
-interp2Tap(const uint8_t *src, int src_stride, int off, uint8_t *dst,
-           int dst_stride, int w, int h)
+void
+interpVAvx2(const uint8_t *src, int src_stride, uint8_t *dst,
+            int dst_stride, int w, int h)
 {
+    const int off = src_stride;
     for (int r = 0; r < h; ++r) {
         const uint8_t *s = src + r * src_stride;
         uint8_t *d = dst + r * dst_stride;
@@ -209,20 +207,6 @@ interp2Tap(const uint8_t *src, int src_stride, int off, uint8_t *dst,
         for (; c < w; ++c)
             d[c] = static_cast<uint8_t>((s[c] + s[c + off] + 1) >> 1);
     }
-}
-
-void
-interpHAvx2(const uint8_t *src, int src_stride, uint8_t *dst,
-            int dst_stride, int w, int h)
-{
-    interp2Tap(src, src_stride, 1, dst, dst_stride, w, h);
-}
-
-void
-interpVAvx2(const uint8_t *src, int src_stride, uint8_t *dst,
-            int dst_stride, int w, int h)
-{
-    interp2Tap(src, src_stride, src_stride, dst, dst_stride, w, h);
 }
 
 void
@@ -473,36 +457,6 @@ diffBlockAvx2(const uint8_t *src, int src_stride, const uint8_t *pred,
     }
 }
 
-void
-addClampBlockAvx2(const uint8_t *pred, int pred_stride,
-                  const int16_t *residual, int res_stride, uint8_t *dst,
-                  int dst_stride, int w, int h)
-{
-    for (int r = 0; r < h; ++r) {
-        const uint8_t *p = pred + r * pred_stride;
-        const int16_t *res = residual + r * res_stride;
-        uint8_t *d = dst + r * dst_stride;
-        int c = 0;
-        for (; c + 16 <= w; c += 16) {
-            const __m256i vr = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(res + c));
-            const __m256i sum = _mm256_adds_epi16(load16u16(p + c), vr);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(d + c),
-                             packusRow(sum));
-        }
-        if (c + 8 <= w) {
-            const __m128i vr = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(res + c));
-            const __m128i sum = _mm_adds_epi16(load8u16(p + c), vr);
-            _mm_storel_epi64(reinterpret_cast<__m128i *>(d + c),
-                             _mm_packus_epi16(sum, sum));
-            c += 8;
-        }
-        for (; c < w; ++c)
-            d[c] = clamp255(p[c] + res[c]);
-    }
-}
-
 // ----- Metrics -----------------------------------------------------
 
 uint64_t
@@ -557,7 +511,6 @@ avx2Ops()
         t.name = "avx2";
         t.isa = Isa::Avx2;
         t.sad = sadAvx2;
-        t.interpH = interpHAvx2;
         t.interpV = interpVAvx2;
         t.interpHV = interpHVAvx2;
         t.fwdTx8x8 = fwdTx8x8Avx2;
@@ -565,7 +518,6 @@ avx2Ops()
         t.quant4x4 = quant4x4Avx2;
         t.dequant4x4 = dequant4x4Avx2;
         t.diffBlock = diffBlockAvx2;
-        t.addClampBlock = addClampBlockAvx2;
         t.sse8 = sse8Avx2;
         return t;
     }();

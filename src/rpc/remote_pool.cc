@@ -86,7 +86,6 @@ RemotePool::submit(service::SegmentJob job,
     rj->submit_ns = obs::nowNs();
     rj->state->submit_ns = rj->submit_ns;
     sched::JobHandle handle = sched::JobHandle::adopt(rj->state);
-    active_.fetch_add(1, std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(mu_);
         inflight_.push_back(rj);
@@ -102,6 +101,7 @@ RemotePool::stats() const
     std::lock_guard<std::mutex> lock(mu_);
     service::ExecutorStats out = counters_;
     out.remote = true;
+    out.inflight = inflight_.size();
     for (const auto &slot : slots_) {
         service::ExecutorWorkerInfo w;
         w.pid = slot->pid.load(std::memory_order_relaxed);
@@ -147,7 +147,9 @@ RemotePool::slotLoop(int s)
         }
         if (attempt.job->done.load(std::memory_order_acquire))
             continue;  // a sibling attempt already resolved it
+        busy_.fetch_add(1, std::memory_order_relaxed);
         runAttempt(s, attempt);
+        busy_.fetch_sub(1, std::memory_order_relaxed);
     }
 }
 
@@ -233,7 +235,6 @@ RemotePool::runAttempt(int s, Attempt &attempt)
                 rj.state->status = sched::JobStatus::Cancelled;
                 rj.state->cv.notify_all();
             }
-            active_.fetch_sub(1, std::memory_order_relaxed);
         }
         return;
     }
@@ -456,7 +457,6 @@ RemotePool::finish(int s, Attempt &attempt,
         rj.state->status = sched::JobStatus::Done;
         rj.state->cv.notify_all();
     }
-    active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void

@@ -105,7 +105,7 @@ class RemotePool : public service::SegmentExecutor
     }
     size_t activeJobs() const override
     {
-        return active_.load(std::memory_order_relaxed);
+        return busy_.load(std::memory_order_relaxed);
     }
     bool remote() const override { return true; }
     service::ExecutorStats stats() const override;
@@ -166,7 +166,7 @@ class RemotePool : public service::SegmentExecutor
     std::vector<double> samples_ms_;  ///< completed attempt latencies
     bool stop_ = false;
 
-    std::atomic<size_t> active_{0};
+    std::atomic<size_t> busy_{0};  ///< slot threads inside runAttempt
     std::atomic<int> alive_workers_{0};
     std::atomic<int64_t> dispatch_seq_{0};
 

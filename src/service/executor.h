@@ -50,6 +50,7 @@ struct ExecutorStats {
     uint64_t hedge_losses = 0;     ///< losing attempts discarded
     uint64_t degraded_local = 0;   ///< jobs run in-process as last resort
     uint64_t kills_injected = 0;   ///< fault-injection SIGKILLs fired
+    uint64_t inflight = 0;         ///< jobs submitted, not yet resolved
     std::vector<ExecutorWorkerInfo> workers;
 };
 
@@ -71,7 +72,11 @@ class SegmentExecutor
 
     virtual int workers() const = 0;
     virtual size_t queueCapacity() const = 0;
-    /** Jobs submitted and not yet resolved (telemetry gauge). */
+    /**
+     * Worker slots running a job right now, at most workers(): the
+     * service.worker_utilization gauge. Jobs still queued for a slot
+     * are not counted.
+     */
     virtual size_t activeJobs() const = 0;
     virtual bool remote() const { return false; }
     /** Thread-safe counter snapshot (service.rpc report + smoke gates). */

@@ -281,7 +281,7 @@ TranscodeService::run(const std::vector<ServiceRequest> &workload)
                 return alive;
             });
             sampler.addGauge("service.rpc.inflight", [exec] {
-                return static_cast<double>(exec->activeJobs());
+                return static_cast<double>(exec->stats().inflight);
             });
         }
         sampler.addGauge("service.shed_requests", [&admission] {

@@ -1,15 +1,21 @@
 /**
  * @file
- * Motion estimation: the searches must find known displacements.
+ * Motion estimation: the searches must find known displacements, and
+ * the successive-elimination full search must reproduce a brute-force
+ * scan exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 
 #include "codec/me.h"
+#include "uarch/probe.h"
 #include "video/rng.h"
 
 namespace vbench::codec {
@@ -278,6 +284,192 @@ TEST(MotionSearch, ClampsNearFrameBorder)
     me.subpel = true;
     const MeResult result = motionSearch(me);  // must not crash
     EXPECT_GT(result.candidates, 100u);
+}
+
+/**
+ * Reference full-pel search: the brute-force scan motionSearch ran
+ * before successive elimination, with its seeds, clamp, duplicate
+ * skip and decision bits, SAD-scoring every candidate.
+ */
+struct BruteForce {
+    MeResult result;
+    uint64_t decisions = 0;
+    int n_decisions = 0;
+};
+
+BruteForce
+bruteForceFullSearch(const MeContext &ctx)
+{
+    const int margin = kRefPad - 2;
+    const int min_mx = -(ctx.block_x + margin);
+    const int max_mx = ctx.ref->width() + margin - ctx.block_w - ctx.block_x;
+    const int min_my = -(ctx.block_y + margin);
+    const int max_my =
+        ctx.ref->height() + margin - ctx.block_h - ctx.block_y;
+    const uint8_t *src = ctx.src->row(ctx.block_y) + ctx.block_x;
+
+    BruteForce out;
+    MeResult &r = out.result;
+    r.cost = UINT32_MAX;
+    const auto tryFullPel = [&](int mx, int my) {
+        mx = std::clamp(mx, min_mx, max_mx);
+        my = std::clamp(my, min_my, max_my);
+        const MotionVector mv{static_cast<int16_t>(mx * 2),
+                              static_cast<int16_t>(my * 2)};
+        if (r.candidates > 0 && mv == r.mv)
+            return;
+        // Plain per-pixel SAD, independent of the kernel tables.
+        uint32_t sad = 0;
+        for (int y = 0; y < ctx.block_h; ++y) {
+            const uint8_t *a = src + y * ctx.src->width();
+            const uint8_t *b =
+                ctx.ref->ptr(ctx.block_x + mx, ctx.block_y + my + y);
+            for (int x = 0; x < ctx.block_w; ++x)
+                sad += static_cast<uint32_t>(std::abs(a[x] - b[x]));
+        }
+        ++r.candidates;
+        const uint32_t cost =
+            sad + static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) +
+                                        0.5);
+        const bool improved = cost < r.cost;
+        if (out.n_decisions < 64) {
+            out.decisions |= static_cast<uint64_t>(improved)
+                << out.n_decisions;
+            ++out.n_decisions;
+        }
+        if (improved) {
+            r.cost = cost;
+            r.sad = sad;
+            r.mv = mv;
+        }
+    };
+
+    tryFullPel(0, 0);
+    tryFullPel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2);
+    if (ctx.has_seed)
+        tryFullPel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2);
+    const int cx = std::clamp((ctx.pred.x + 1) / 2, min_mx, max_mx);
+    const int cy = std::clamp((ctx.pred.y + 1) / 2, min_my, max_my);
+    for (int my = -ctx.range; my <= ctx.range; ++my)
+        for (int mx = -ctx.range; mx <= ctx.range; ++mx)
+            tryFullPel(cx + mx, cy + my);
+    return out;
+}
+
+/** Keeps the decision bits of the motion-search control record. */
+class DecisionProbe : public uarch::UarchProbe
+{
+  public:
+    using UarchProbe::record;
+
+    void
+    record(uarch::KernelId id, uint64_t units, uint64_t decision_bits,
+           int n_decisions, std::initializer_list<uarch::MemRegion>) override
+    {
+        if (id != uarch::KernelId::MotionSearchCtl)
+            return;
+        ++records;
+        candidates = units;
+        decisions = decision_bits;
+        this->n_decisions = n_decisions;
+    }
+
+    int records = 0;
+    uint64_t candidates = 0;
+    uint64_t decisions = 0;
+    int n_decisions = 0;
+};
+
+TEST(FullSearch, MatchesBruteForceScanExactly)
+{
+    constexpr int kW = 112;
+    constexpr int kH = 80;
+    // Textured content with real motion; unrelated noise (weak
+    // bounds); a flat frame where every candidate's SAD ties and the
+    // earlier raster candidate must keep winning; and a flat block
+    // over a reference that is brighter everywhere, where every SAD
+    // equals its quadrant bound, so a bound that overshoots by even 1
+    // drops a winner.
+    const Plane textured_ref = texturedPlane(kW, kH, 91);
+    const Plane textured_cur = shifted(textured_ref, 3, -2);
+    Plane noise_ref(kW, kH);
+    Plane noise_cur(kW, kH);
+    Plane brighter_ref(kW, kH);
+    video::Rng rng(92);
+    for (int y = 0; y < kH; ++y) {
+        for (int x = 0; x < kW; ++x) {
+            noise_ref.at(x, y) = static_cast<uint8_t>(rng.below(256));
+            noise_cur.at(x, y) = static_cast<uint8_t>(rng.below(256));
+            brighter_ref.at(x, y) = static_cast<uint8_t>(80 + rng.below(8));
+        }
+    }
+    const Plane flat(kW, kH, 77);
+    struct Content {
+        const char *name;
+        const Plane *cur;
+        const Plane *ref;
+    };
+    const Content contents[] = {{"textured", &textured_cur, &textured_ref},
+                                {"noise", &noise_cur, &noise_ref},
+                                {"flat", &flat, &flat},
+                                {"tight", &flat, &brighter_ref}};
+
+    int searches = 0;
+    for (const Content &content : contents) {
+        const RefPlane ref(*content.ref);
+        for (const int bs : {8, 16, 32}) {
+            // The four corners, where the clamp folds candidates onto
+            // each other, and one interior block.
+            const int xs[] = {0, kW - bs, 0, kW - bs, 40};
+            const int ys[] = {0, 0, kH - bs, kH - bs, 32};
+            for (int pos = 0; pos < 5; ++pos) {
+                for (const int range : {4, 7, 12, 24, kRefPad + 16}) {
+                    for (const bool seeded : {false, true}) {
+                        for (const double lambda : {0.0, 1.0, 60.0}) {
+                            MeContext ctx;
+                            ctx.src = content.cur;
+                            ctx.ref = &ref;
+                            ctx.block_x = xs[pos];
+                            ctx.block_y = ys[pos];
+                            ctx.block_w = bs;
+                            ctx.block_h = bs;
+                            ctx.pred = MotionVector{-7, 5};
+                            ctx.seed = MotionVector{12, -9};
+                            ctx.has_seed = seeded;
+                            ctx.lambda = lambda;
+                            ctx.kind = SearchKind::Full;
+                            ctx.range = range;
+                            ctx.subpel = false;
+                            DecisionProbe probe;
+                            ctx.probe = &probe;
+
+                            const BruteForce want =
+                                bruteForceFullSearch(ctx);
+                            const MeResult got = motionSearch(ctx);
+                            SCOPED_TRACE(testing::Message()
+                                         << content.name << " bs=" << bs
+                                         << " at (" << xs[pos] << ","
+                                         << ys[pos] << ") range=" << range
+                                         << " seeded=" << seeded
+                                         << " lambda=" << lambda);
+                            EXPECT_EQ(got.mv, want.result.mv);
+                            EXPECT_EQ(got.cost, want.result.cost);
+                            EXPECT_EQ(got.sad, want.result.sad);
+                            EXPECT_EQ(got.candidates,
+                                      want.result.candidates);
+                            ASSERT_EQ(probe.records, 1);
+                            EXPECT_EQ(probe.candidates,
+                                      want.result.candidates);
+                            EXPECT_EQ(probe.decisions, want.decisions);
+                            EXPECT_EQ(probe.n_decisions, want.n_decisions);
+                            ++searches;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(searches, 4 * 3 * 5 * 5 * 2 * 3);
 }
 
 } // namespace

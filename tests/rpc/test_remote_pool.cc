@@ -123,6 +123,38 @@ TEST(RemotePool, ChildProcessesProduceByteIdenticalStreams)
     }
 }
 
+TEST(RemotePool, ActiveJobsCountsBusySlotsNotQueuedJobs)
+{
+    // More jobs than slots: the surplus waits in the pool's queue.
+    // activeJobs() feeds service.worker_utilization, so it must count
+    // busy slots only and never exceed workers(); the jobs submitted
+    // and not yet resolved are stats().inflight.
+    const CorpusClip &clip = testClip();
+    RemotePoolConfig config;
+    config.workers = 2;
+    config.hedge = false;
+    RemotePool pool(config);
+
+    constexpr size_t kJobs = 6;
+    std::vector<sched::JobHandle> handles;
+    for (size_t k = 0; k < kJobs; ++k)
+        handles.push_back(pool.submit(encodeJob(clip, static_cast<int>(
+                                                          k % 2)),
+                                      clip.seg_original[k % 2]));
+    EXPECT_LE(pool.activeJobs(), static_cast<size_t>(pool.workers()));
+    EXPECT_EQ(pool.stats().inflight, kJobs);
+
+    for (sched::JobHandle &h : handles) {
+        EXPECT_LE(pool.activeJobs(), static_cast<size_t>(pool.workers()));
+        ASSERT_TRUE(h.wait().ok()) << h.wait().outcome.error;
+    }
+    EXPECT_EQ(pool.stats().inflight, 0u);
+    // A slot leaves runAttempt just after resolving its job.
+    for (int spin = 0; spin < 500 && pool.activeJobs() > 0; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(pool.activeJobs(), 0u);
+}
+
 TEST(RemotePool, SigkilledChildJobSurvivesViaRetryAndRespawn)
 {
     const CorpusClip &clip = testClip();
