@@ -4,17 +4,20 @@
  * attached — cold, warm, or hitting mid-chain — every stitched
  * delivery stream stays byte-identical to the cache-off run, for VBC
  * and NGC across all four rate-control modes. Also checks the hit
- * plumbing: SLA cache counters, the ServiceResult stats snapshot, and
- * that a warm second run serves every segment from the cache.
+ * plumbing: SLA cache counters, the ServiceResult stats snapshot,
+ * that a warm second run serves every segment from the cache, and
+ * how a hit is traced and scored next to an executed segment.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "core/runtime_config.h"
+#include "obs/trace.h"
 #include "service/segment_job.h"
 #include "service/service.h"
 #include "service/workload.h"
@@ -240,6 +243,126 @@ TEST(ServiceCache, MidChainHitLeavesTailByteIdentical)
     // Exactly segment 0 of every rung hit; the tail was re-encoded.
     EXPECT_EQ(result.cache_stats.hits, workload.size());
     EXPECT_GT(result.cache_stats.misses, 0u);
+}
+
+const ScenarioScore *
+scoreFor(const ServiceResult &result, core::Scenario scenario)
+{
+    for (const ScenarioScore &s : result.sla.scenarios)
+        if (s.scenario == scenario)
+            return &s;
+    return nullptr;
+}
+
+TEST(ServiceCache, WarmHitsAreTracedAndScoredLikeTheColdSegment)
+{
+    // Per request of the matrix: a cold run fills a fresh cache, then
+    // a traced warm run replays the request (every segment hits) after
+    // a request the cache has never seen (every segment executes).
+    // The miss runs under another scenario so the Upload score holds
+    // the hits alone. One active request at a time makes the replay
+    // wait for the miss's encodes, so the hits' latencies are
+    // milliseconds of pre-dispatch wait, far above the microsecond
+    // rounding of the exemplar cut.
+    const Corpus corpus = cacheCorpus();
+    const int segments = corpus.clips[0].segmentCount();
+    ASSERT_EQ(segments, 2);
+    for (const ServiceRequest &req : rcMatrixWorkload(1)) {
+        SCOPED_TRACE(req.rungs[0].name);
+        cache::TranscodeCache tc(ampleCacheConfig());
+        ServiceConfig cached = plainConfig();
+        cached.cache = &tc;
+        TranscodeService cold_service(cached, corpus);
+        const ServiceResult cold = cold_service.run({req});
+        ASSERT_EQ(cold.completed, 1u);
+        ASSERT_EQ(cold.sla.cache_hits, 0u);
+
+        ServiceRequest miss = req;
+        miss.id = req.id + 100;
+        ServiceRequest replay = req;
+        replay.id = req.id + 200;
+        miss.scenario = core::Scenario::Popular;
+        RungSpec &mr = miss.rungs[0];
+        mr.name += ".miss";
+        mr.request.rc.qp += 4;
+        mr.request.rc.crf += 4.0;
+        mr.request.rc.bitrate_bps *= 1.5;
+
+        obs::Tracer tracer;
+        ServiceConfig traced = cached;
+        traced.tracer = &tracer;
+        traced.max_active_requests = 1;
+        TranscodeService warm_service(traced, corpus);
+        const ServiceResult warm = warm_service.run({miss, replay});
+        ASSERT_EQ(warm.completed, 2u);
+        ASSERT_EQ(warm.stitch_failures, 0u);
+
+        // Scopes grouped per request trace, named by request id.
+        const std::vector<obs::ScopeEvent> scopes = tracer.scopeEvents();
+        std::map<uint64_t, uint64_t> request_of_trace;
+        for (const obs::ScopeEvent &s : scopes)
+            if (s.span.parent_id == 0 && s.name.rfind("request ", 0) == 0)
+                request_of_trace[s.span.trace_id] =
+                    std::stoull(s.name.substr(8));
+        ASSERT_EQ(request_of_trace.size(), 2u);
+
+        size_t hit_scopes = 0;
+        for (const ServiceRequest *r : {&miss, &replay}) {
+            const std::string &rung = r->rungs[0].name;
+            for (int k = 0; k < segments; ++k) {
+                const std::string tag = rung + ".s" + std::to_string(k);
+                std::vector<const obs::ScopeEvent *> seg;
+                for (const obs::ScopeEvent &s : scopes)
+                    if (s.name == "segment " + tag &&
+                        request_of_trace[s.span.trace_id] == r->id)
+                        seg.push_back(&s);
+                ASSERT_EQ(seg.size(), 1u) << tag;
+                size_t hits = 0;
+                for (const obs::ScopeEvent &s : scopes) {
+                    if (s.name.rfind("cache_hit ", 0) != 0)
+                        continue;
+                    if (s.span.parent_id == seg[0]->span.span_id) {
+                        EXPECT_EQ(s.name, "cache_hit " + tag);
+                        ++hits;
+                    }
+                }
+                EXPECT_EQ(hits, r == &replay ? 1u : 0u) << tag;
+                hit_scopes += hits;
+            }
+        }
+        size_t all_hit_scopes = 0;
+        for (const obs::ScopeEvent &s : scopes)
+            all_hit_scopes += s.name.rfind("cache_hit ", 0) == 0 ? 1 : 0;
+        EXPECT_EQ(all_hit_scopes, hit_scopes);
+
+        const ScenarioScore *upload =
+            scoreFor(warm, core::Scenario::Upload);
+        const ScenarioScore *popular =
+            scoreFor(warm, core::Scenario::Popular);
+        ASSERT_NE(upload, nullptr);
+        ASSERT_NE(popular, nullptr);
+        EXPECT_EQ(warm.sla.cache_hits, hit_scopes);
+        EXPECT_EQ(upload->cache_hits, hit_scopes);
+        EXPECT_EQ(popular->cache_hits, 0u);
+
+        // A hit never queues or encodes: its whole latency is the
+        // pre-dispatch wait.
+        ASSERT_FALSE(upload->exemplars.empty());
+        for (const obs::Exemplar &e : upload->exemplars) {
+            EXPECT_EQ(e.path.queue_wait_ms, 0.0) << e.label;
+            EXPECT_EQ(e.path.encode_ms, 0.0) << e.label;
+            EXPECT_EQ(e.path.stitch_ms, 0.0) << e.label;
+            EXPECT_EQ(e.path.rc_chain_ms, e.latency_ms) << e.label;
+        }
+
+        // The hit scores the quality the cold encode measured. Two
+        // segments sum the same in either order, so this is exact.
+        const ScenarioScore *cold_upload =
+            scoreFor(cold, core::Scenario::Upload);
+        ASSERT_NE(cold_upload, nullptr);
+        EXPECT_GT(cold_upload->mean_psnr_db, 0.0);
+        EXPECT_EQ(upload->mean_psnr_db, cold_upload->mean_psnr_db);
+    }
 }
 
 } // namespace
