@@ -43,16 +43,12 @@ struct ServiceConfig {
     /// Scheduler worker threads; <= 0 uses the scheduler default
     /// (VBENCH_JOBS or hardware concurrency).
     int workers = 0;
-    /// Scheduler job-queue capacity; 0 uses 2 × workers.
-    size_t queue_capacity = 0;
     /// Admission queue capacity: requests waiting for dispatch beyond
     /// this are shed (load shedding, not backpressure).
     size_t admission_capacity = 32;
     /// Requests being actively transcoded at once; 0 uses
     /// workers + 2.
     size_t max_active_requests = 0;
-    /// Dispatcher poll interval, seconds.
-    double poll_interval_s = 0.0005;
     /// Metrics sink for service counters, SLA histograms, and the
     /// scheduler's merged worker shards. Null disables.
     obs::MetricsRegistry *metrics = nullptr;
@@ -64,10 +60,8 @@ struct ServiceConfig {
     obs::Tracer *tracer = nullptr;
     /// Live telemetry: sample the service gauges (queue depth,
     /// in-flight jobs, worker utilization, shed count, frame-thread
-    /// clamps) on a background thread while the run plays.
+    /// clamps) every 10 ms on a background thread while the run plays.
     bool enable_telemetry = true;
-    /// Telemetry sampling period, seconds (<= 0 uses 10 ms).
-    double telemetry_interval_s = 0.010;
     /**
      * Heterogeneous fleet model (docs/FLEET.md). When set, every
      * segment is additionally *placed* on a modeled fleet worker:
@@ -92,13 +86,6 @@ struct ServiceConfig {
      * it), so a warm cache carries across runs. Null = no cache.
      */
     cache::TranscodeCache *cache = nullptr;
-    /**
-     * Route every segment through the wire: serialize the SegmentJob
-     * and execute the *deserialized* copy. Proves the message carries
-     * everything a remote worker needs (tests assert the stitched
-     * outputs stay byte-identical with this on).
-     */
-    bool wire_loopback = false;
     /// Keep each stitched delivery stream in ServiceResult::outputs
     /// (key "<request>.<rung>") for byte-identity tests.
     bool collect_outputs = false;

@@ -1,11 +1,12 @@
 /**
  * @file
  * Fleet-routed service runs are placement-invariant: with the modeled
- * heterogeneous fleet AND the serialize/deserialize wire loopback both
- * enabled, every stitched delivery stream stays byte-identical to the
- * plain single-pool run — for VBC and NGC across all four rate-control
- * modes. Also checks the cost plumbing: fleet usage, total dollars,
- * and the SLA scorer's $/stream columns.
+ * heterogeneous fleet placing every segment AND the segments crossing
+ * the wire to fork/exec'd worker processes (an rpc::RemotePool
+ * executor), every stitched delivery stream stays byte-identical to
+ * the plain single-pool run — for VBC and NGC across all four
+ * rate-control modes. Also checks the cost plumbing: fleet usage,
+ * total dollars, and the SLA scorer's $/stream columns.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "fleet/types.h"
+#include "rpc/remote_pool.h"
 #include "service/service.h"
 #include "service/workload.h"
 
@@ -99,10 +101,13 @@ TEST(ServiceFleet, FleetAndWireKeepStitchedOutputsByteIdentical)
 
     const fleet::FleetConfig fleet_config = fleet::defaultFleetConfig();
     const fleet::PerfModel fleet_model;  // stock speeds: no profiling
+    rpc::RemotePoolConfig pool_config;
+    pool_config.workers = 2;
+    rpc::RemotePool pool(pool_config);
     ServiceConfig routed = plain;
     routed.fleet = &fleet_config;
     routed.fleet_model = &fleet_model;
-    routed.wire_loopback = true;
+    routed.executor = &pool;
     TranscodeService fleet_service(routed, corpus);
     const ServiceResult result = fleet_service.run(workload);
     ASSERT_EQ(result.completed, workload.size());
@@ -144,36 +149,6 @@ TEST(ServiceFleet, FleetAndWireKeepStitchedOutputsByteIdentical)
     EXPECT_DOUBLE_EQ(baseline.fleet_cost_dollars, 0.0);
     EXPECT_TRUE(baseline.fleet_usage.empty());
     EXPECT_DOUBLE_EQ(baseline.sla.total_cost_dollars, 0.0);
-}
-
-TEST(ServiceFleet, WireLoopbackAloneIsAlsoByteIdentical)
-{
-    // Isolates the serialization path from the fleet model: routing
-    // every segment through serialize() + deserialize() must be
-    // invisible in the outputs.
-    const Corpus corpus = fleetCorpus();
-    std::vector<ServiceRequest> workload = rcMatrixWorkload();
-    workload.resize(4);  // the VBC half: keep the test quick
-
-    ServiceConfig plain;
-    plain.workers = 2;
-    plain.admission_capacity = 64;
-    plain.collect_outputs = true;
-    TranscodeService baseline_service(plain, corpus);
-    const ServiceResult baseline = baseline_service.run(workload);
-    ASSERT_EQ(baseline.completed, workload.size());
-
-    ServiceConfig wired = plain;
-    wired.wire_loopback = true;
-    TranscodeService wired_service(wired, corpus);
-    const ServiceResult result = wired_service.run(workload);
-    ASSERT_EQ(result.completed, workload.size());
-    ASSERT_EQ(result.outputs.size(), baseline.outputs.size());
-    for (const auto &[name, stream] : baseline.outputs) {
-        const auto it = result.outputs.find(name);
-        ASSERT_NE(it, result.outputs.end()) << name;
-        EXPECT_EQ(it->second, stream) << name;
-    }
 }
 
 } // namespace

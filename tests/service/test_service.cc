@@ -195,7 +195,6 @@ TEST(Service, EmitsConnectedTracesTelemetryAndExemplars)
     config.admission_capacity = 64;
     config.metrics = &metrics;
     config.tracer = &tracer;
-    config.telemetry_interval_s = 0.002;
     TranscodeService service(config, corpus);
     const ServiceResult result = service.run(workload);
     ASSERT_EQ(result.completed, workload.size());
