@@ -2,10 +2,11 @@
  * @file
  * Pixel-kernel micro-benchmarks over the runtime dispatch tables.
  *
- * Default mode times every kernel once per ISA level available on the
- * host, prints a table, and writes BENCH_kernels.json with ns/op and
- * speedup-vs-scalar per kernel per ISA, plus an end-to-end encode
- * timing per ISA. Two auxiliary modes support scripts/check.sh:
+ * Default mode times every kernel at each ISA level available on the
+ * host (nine runs per level, the levels interleaved run by run),
+ * prints a table, and writes BENCH_kernels.json with the median ns/op,
+ * its interquartile range and the speedup vs scalar per kernel per
+ * ISA, plus an end-to-end encode timing per ISA. Two auxiliary modes support scripts/check.sh:
  *
  *   --smoke   quick randomized scalar-vs-vector equivalence check;
  *             exits nonzero on any mismatch.
@@ -15,6 +16,7 @@
  *             output across VBENCH_ISA settings by construction.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -94,7 +96,7 @@ using BenchFn =
     std::function<void(const KernelOps &, const BenchData &, long)>;
 
 struct KernelBench {
-    const char *name;
+    std::string name;
     BenchFn run; ///< executes `iters` ops against one dispatch table
 };
 
@@ -140,14 +142,43 @@ kernelBenches()
                                      d.stride, dst, 16, 16, 16);
                        g_sink = g_sink + dst[0];
                    }});
-    out.push_back({"interp_hv_16x16", [](const KernelOps &k,
-                                         const BenchData &d, long iters) {
-                       uint8_t dst[16 * 16];
-                       for (long i = 0; i < iters; ++i)
-                           k.interpHV(d.plane_a.data() + d.offsets[i & 63],
-                                      d.stride, dst, 16, 16, 16);
-                       g_sink = g_sink + dst[0];
-                   }});
+    // The kernels whose AVX2 override wins at some block sizes and
+    // loses at others, at every square shape up to 16x16.
+    for (const int n : {4, 8, 16}) {
+        const std::string shape =
+            std::to_string(n) + "x" + std::to_string(n);
+        out.push_back({"interp_v_" + shape, [n](const KernelOps &k,
+                                                const BenchData &d,
+                                                long iters) {
+                           uint8_t dst[16 * 16];
+                           for (long i = 0; i < iters; ++i)
+                               k.interpV(d.plane_a.data() + d.offsets[i & 63],
+                                         d.stride, dst, n, n, n);
+                           g_sink = g_sink + dst[0];
+                       }});
+        out.push_back({"interp_hv_" + shape, [n](const KernelOps &k,
+                                                 const BenchData &d,
+                                                 long iters) {
+                           uint8_t dst[16 * 16];
+                           for (long i = 0; i < iters; ++i)
+                               k.interpHV(
+                                   d.plane_a.data() + d.offsets[i & 63],
+                                   d.stride, dst, n, n, n);
+                           g_sink = g_sink + dst[0];
+                       }});
+        out.push_back({"diff_" + shape, [n](const KernelOps &k,
+                                            const BenchData &d,
+                                            long iters) {
+                           int16_t res[16 * 16];
+                           for (long i = 0; i < iters; ++i) {
+                               const uint32_t o = d.offsets[i & 63];
+                               k.diffBlock(d.plane_a.data() + o, d.stride,
+                                           d.plane_b.data() + o, d.stride,
+                                           res, n, n, n);
+                           }
+                           g_sink = g_sink + static_cast<uint64_t>(res[0]);
+                       }});
+    }
     out.push_back({"fwd_tx4x4", [](const KernelOps &k, const BenchData &d,
                                    long iters) {
                        int32_t coefs[16];
@@ -192,17 +223,6 @@ kernelBenches()
                            k.dequant4x4(d.levels16, coefs, 30);
                        g_sink = g_sink + static_cast<uint64_t>(coefs[0]);
                    }});
-    out.push_back({"diff_8x8", [](const KernelOps &k, const BenchData &d,
-                                  long iters) {
-                       int16_t res[64];
-                       for (long i = 0; i < iters; ++i) {
-                           const uint32_t o = d.offsets[i & 63];
-                           k.diffBlock(d.plane_a.data() + o, d.stride,
-                                       d.plane_b.data() + o, d.stride,
-                                       res, 8, 8, 8);
-                       }
-                       g_sink = g_sink + static_cast<uint64_t>(res[0]);
-                   }});
     out.push_back({"add_clamp_8x8", [](const KernelOps &k,
                                        const BenchData &d, long iters) {
                        uint8_t dst[64];
@@ -246,38 +266,73 @@ kernelBenches()
     return out;
 }
 
-/**
- * ns per op: grow the repetition count until one timed run exceeds
- * ~8 ms, then report the best of three runs at that count.
- */
+/// Timed runs per kernel per ISA level.
+constexpr int kTimedRuns = 9;
+
+/** Median and interquartile range of one kernel's timed runs, ns/op. */
+struct NsPerOp {
+    double median = 0;
+    double iqr = 0;
+};
+
+/** ns per op of one timed run of `iters` ops. */
 double
-measureNsPerOp(const KernelOps &k, const BenchData &d, const BenchFn &fn)
+timeRun(const KernelOps &k, const BenchData &d, const BenchFn &fn,
+        long iters)
 {
-    fn(k, d, 256); // warmup
+    const auto t0 = Clock::now();
+    fn(k, d, iters);
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+               .count() /
+        static_cast<double>(iters);
+}
+
+/** Warm up, then grow the repetition count until one run takes ~8 ms. */
+long
+calibrateIters(const KernelOps &k, const BenchData &d, const BenchFn &fn)
+{
+    fn(k, d, 256);  // warmup
     long iters = 256;
-    double elapsed_ns = 0;
-    for (;;) {
-        const auto t0 = Clock::now();
-        fn(k, d, iters);
-        elapsed_ns =
-            std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                .count();
-        if (elapsed_ns > 8e6 || iters > (1l << 28))
-            break;
+    while (timeRun(k, d, fn, iters) * static_cast<double>(iters) <= 8e6 &&
+           iters <= (1l << 28))
         iters *= 4;
+    return iters;
+}
+
+/** Linearly interpolated quantile of sorted samples. */
+double
+quantile(const std::vector<double> &sorted, double q)
+{
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) *
+        (sorted[hi] - sorted[lo]);
+}
+
+/**
+ * Time one kernel at every ISA level: kTimedRuns runs each, with the
+ * levels interleaved run by run so host drift (frequency, co-tenants)
+ * lands on every level alike.
+ */
+std::vector<NsPerOp>
+measureNsPerOp(const std::vector<Isa> &levels, const BenchData &d,
+               const BenchFn &fn)
+{
+    std::vector<long> iters;
+    for (const Isa isa : levels)
+        iters.push_back(calibrateIters(*kernels::opsFor(isa), d, fn));
+    std::vector<std::vector<double>> runs(levels.size());
+    for (int rep = 0; rep < kTimedRuns; ++rep)
+        for (size_t l = 0; l < levels.size(); ++l)
+            runs[l].push_back(
+                timeRun(*kernels::opsFor(levels[l]), d, fn, iters[l]));
+    std::vector<NsPerOp> out;
+    for (std::vector<double> &r : runs) {
+        std::sort(r.begin(), r.end());
+        out.push_back({quantile(r, 0.5), quantile(r, 0.75) - quantile(r, 0.25)});
     }
-    double best = elapsed_ns / static_cast<double>(iters);
-    for (int rep = 0; rep < 2; ++rep) {
-        const auto t0 = Clock::now();
-        fn(k, d, iters);
-        const double ns =
-            std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                .count() /
-            static_cast<double>(iters);
-        if (ns < best)
-            best = ns;
-    }
-    return best;
+    return out;
 }
 
 video::Video
@@ -487,22 +542,22 @@ runBench(const std::string &json_path)
     const std::vector<KernelBench> benches = kernelBenches();
     const std::vector<Isa> levels = availableLevels();
 
+    std::printf("median and IQR of %d interleaved runs, ns/op\n",
+                kTimedRuns);
     std::printf("%-18s", "kernel");
     for (const Isa isa : levels)
-        std::printf("  %10s ns/op  speedup", kernels::isaName(isa));
+        std::printf("  %10s median    IQR  speedup", kernels::isaName(isa));
     std::printf("\n");
 
     // results[b][l] = ns/op for bench b at ISA level l.
-    std::vector<std::vector<double>> results(
-        benches.size(), std::vector<double>(levels.size(), 0.0));
-    for (size_t b = 0; b < benches.size(); ++b) {
+    std::vector<std::vector<NsPerOp>> results;
+    for (const KernelBench &bench : benches) {
+        results.push_back(measureNsPerOp(levels, data, bench.run));
+        const std::vector<NsPerOp> &r = results.back();
+        std::printf("%-18s", bench.name.c_str());
         for (size_t l = 0; l < levels.size(); ++l)
-            results[b][l] = measureNsPerOp(*kernels::opsFor(levels[l]),
-                                           data, benches[b].run);
-        std::printf("%-18s", benches[b].name);
-        for (size_t l = 0; l < levels.size(); ++l)
-            std::printf("  %16.1f  %6.2fx", results[b][l],
-                        results[b][0] / results[b][l]);
+            std::printf("  %17.1f  %5.1f  %6.2fx", r[l].median, r[l].iqr,
+                        r[0].median / r[l].median);
         std::printf("\n");
     }
 
@@ -525,18 +580,22 @@ runBench(const std::string &json_path)
         std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{%s\"host_best_isa\":\"%s\",\"kernels\":[",
+    std::fprintf(f,
+                 "{%s\"host_best_isa\":\"%s\",\"timed_runs\":%d,"
+                 "\"kernels\":[",
                  bench::jsonMetaFields().c_str(),
-                 kernels::isaName(kernels::detectBestIsa()));
+                 kernels::isaName(kernels::detectBestIsa()), kTimedRuns);
     for (size_t b = 0; b < benches.size(); ++b) {
         std::fprintf(f, "%s{\"name\":\"%s\",\"results\":[", b ? "," : "",
-                     benches[b].name);
+                     benches[b].name.c_str());
         for (size_t l = 0; l < levels.size(); ++l)
             std::fprintf(f,
                          "%s{\"isa\":\"%s\",\"ns_per_op\":%.3f,"
+                         "\"ns_per_op_iqr\":%.3f,"
                          "\"speedup_vs_scalar\":%.3f}",
                          l ? "," : "", kernels::isaName(levels[l]),
-                         results[b][l], results[b][0] / results[b][l]);
+                         results[b][l].median, results[b][l].iqr,
+                         results[b][0].median / results[b][l].median);
         std::fprintf(f, "]}");
     }
     std::fprintf(f, "],\"encode_e2e\":[");

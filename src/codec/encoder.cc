@@ -31,24 +31,6 @@ using video::Frame;
 using video::Plane;
 using video::Video;
 
-/** Pad a frame to macroblock-aligned dimensions by edge replication. */
-Frame
-padFrame(const Frame &src, int padded_w, int padded_h,
-         uarch::UarchProbe *probe)
-{
-    Frame out(padded_w, padded_h);
-    video::padPlaneInto(src.y(), out.y());
-    video::padPlaneInto(src.u(), out.u());
-    video::padPlaneInto(src.v(), out.v());
-    if (probe) {
-        probe->record(KernelId::FrameCopy, out.pixelCount() / 64, 0, 0,
-                      {MemRegion{src.y().data(),
-                                 static_cast<uint32_t>(src.y().size()), 1,
-                                 0, false}});
-    }
-    return out;
-}
-
 /**
  * Cheap scene-change detector: subsampled mean absolute luma
  * difference between consecutive source frames. Runs on the source, so
@@ -199,9 +181,8 @@ class Sequencer : public FrameDriver<Sequencer, WorkerCtx>
     }
 
     void
-    beginFrame(const Frame &original)
+    beginFrame()
     {
-        src_ = padFrame(original, padded_w_, padded_h_, probe_);
         grid_ = MbGrid(cols_, rows_);
         records_.resize(static_cast<size_t>(cols_) * rows_);
 
@@ -925,7 +906,6 @@ class Sequencer : public FrameDriver<Sequencer, WorkerCtx>
 
     const ToolPreset &tools_;
     std::vector<MbRecord> records_;
-    Frame src_;
     MbGrid grid_;
     std::vector<int8_t> aq_offsets_;
 };

@@ -29,7 +29,7 @@
  *   static constexpr int kLag;   // wavefront lag in cells
  *   void writeHeader(ByteBuffer &out) const;
  *   FrameType frameType(int index, FrameType gop_type) const;
- *   void beginFrame(const video::Frame &original);   // FrameSetup
+ *   void beginFrame();               // FrameSetup, after src_ is padded
  *   void analyzeCell(int row, int col, Worker &worker);
  *   std::unique_ptr<SyntaxWriter> makeWriter(ByteBuffer &out) const;
  *   SliceState beginSlice() const;   // per-slice coder state
@@ -42,7 +42,8 @@
  *   uint64_t rateControlUnits() const;
  *
  * The policy reads the geometry, the slice bands, the frame's type and
- * QP, recon_ and refs_ from the driver's protected members. `Worker` is
+ * QP, the padded source src_, recon_ and refs_ from the driver's
+ * protected members. `Worker` is
  * its per-wavefront-slot scratch; it must carry `obs::StageAccum
  * accum` and `obs::StageAccum *acc` members.
  *
@@ -218,6 +219,7 @@ class FrameDriver
 
     FrameType frame_type_ = FrameType::I;  ///< frame being encoded
     int frame_qp_ = 0;                     ///< its rate-control QP
+    video::Frame src_;                     ///< its source, padded
     video::Frame recon_;                   ///< its reconstruction
     std::deque<RefFrame> refs_;            ///< newest first
 
@@ -245,6 +247,23 @@ class FrameDriver
         return FrameType::P;
     }
 
+    /** Pad the source frame to whole cells by edge replication. */
+    void
+    padSource(const video::Frame &original)
+    {
+        src_ = video::Frame(padded_w_, padded_h_);
+        video::padPlaneInto(original.y(), src_.y());
+        video::padPlaneInto(original.u(), src_.u());
+        video::padPlaneInto(original.v(), src_.v());
+        if (probe_)
+            probe_->record(uarch::KernelId::FrameCopy,
+                           src_.pixelCount() / 64, 0, 0,
+                           {uarch::MemRegion{
+                               original.y().data(),
+                               static_cast<uint32_t>(original.y().size()),
+                               1, 0, false}});
+    }
+
     /** Encode one frame and return its entropy payload. */
     ByteBuffer
     encodeFrame(const video::Frame &original, int frame_index,
@@ -255,7 +274,8 @@ class FrameDriver
             if (frame_type_ == FrameType::I)
                 refs_.clear();
             recon_ = video::Frame(padded_w_, padded_h_);
-            self().beginFrame(original);
+            padSource(original);
+            self().beginFrame();
         }
         ByteBuffer payload;
         if (probe_) {

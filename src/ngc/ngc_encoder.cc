@@ -194,9 +194,8 @@ class NgcSequencer : public codec::FrameDriver<NgcSequencer, NgcWorkerCtx>
     FrameType frameType(int, FrameType gop_type) const { return gop_type; }
 
     void
-    beginFrame(const Frame &original)
+    beginFrame()
     {
-        src_ = padFrame(original);
         cells_ = CellGrid(padded_w_ / 8, padded_h_ / 8);
         lambda_sad_ = codec::sadLambda(frame_qp_) * tools_.lambda_scale;
     }
@@ -247,19 +246,6 @@ class NgcSequencer : public codec::FrameDriver<NgcSequencer, NgcWorkerCtx>
     {
         obs::ScopedStage db(acc_, obs::Stage::Deblock);
         deblockMapped();
-    }
-
-    Frame
-    padFrame(const Frame &src) const
-    {
-        Frame out(padded_w_, padded_h_);
-        video::padPlaneInto(src.y(), out.y());
-        video::padPlaneInto(src.u(), out.u());
-        video::padPlaneInto(src.v(), out.v());
-        if (probe_) {
-            probe_->record(KernelId::FrameCopy, out.pixelCount() / 64);
-        }
-        return out;
     }
 
     /** Map 8x8 cell info onto the 16x16 deblock grid and filter. */
@@ -846,7 +832,6 @@ class NgcSequencer : public codec::FrameDriver<NgcSequencer, NgcWorkerCtx>
     const NgcTools &tools_;
     std::vector<SbRecord> sb_records_;
 
-    Frame src_;
     CellGrid cells_;
     double lambda_sad_ = 1.0;
 };

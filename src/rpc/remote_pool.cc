@@ -66,6 +66,7 @@ RemotePool::~RemotePool()
         stop_ = true;
     }
     cv_.notify_all();
+    hedge_cv_.notify_all();
     if (hedge_thread_.joinable())
         hedge_thread_.join();
     for (auto &slot : slots_)
@@ -464,7 +465,7 @@ RemotePool::hedgeLoop()
 {
     std::unique_lock<std::mutex> lock(mu_);
     while (!stop_) {
-        cv_.wait_for(lock, std::chrono::milliseconds(2));
+        hedge_cv_.wait_for(lock, std::chrono::milliseconds(2));
         if (stop_ || !config_.hedge)
             continue;
         const size_t min_samples = static_cast<size_t>(

@@ -160,7 +160,12 @@ class RemotePool : public service::SegmentExecutor
     std::thread hedge_thread_;
 
     mutable std::mutex mu_;
+    /// Work for the slot threads (pending_ or stop_). Only slot threads
+    /// wait on it, so a notify_one always reaches one that can run the
+    /// attempt.
     std::condition_variable cv_;
+    /// The hedge thread's 2 ms tick and stop signal.
+    std::condition_variable hedge_cv_;
     std::deque<Attempt> pending_;
     std::vector<std::shared_ptr<RemoteJob>> inflight_;
     std::vector<double> samples_ms_;  ///< completed attempt latencies

@@ -185,6 +185,33 @@ TEST(RemotePool, SigkilledChildJobSurvivesViaRetryAndRespawn)
     EXPECT_EQ(stats.degraded_local, 0u);
 }
 
+TEST(RemotePool, IdleSlotPicksUpEverySubmit)
+{
+    // Each submit lands while the only slot is idle, waiting for work
+    // next to the hedge thread. The hedge thread must never swallow the
+    // wake-up meant for the slot: every job is picked up promptly
+    // instead of sitting queued until the next submit.
+    const CorpusClip &clip = testClip();
+    const SegmentJob job = encodeJob(clip, 0);
+    RemotePoolConfig config;
+    config.workers = 1;
+    config.hedge = false;
+    RemotePool pool(config);
+    for (int i = 0; i < 100; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        sched::JobHandle handle = pool.submit(job, clip.seg_original[0]);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!handle.finished() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_TRUE(handle.finished()) << "submit " << i << " never ran";
+        ASSERT_TRUE(handle.wait().ok()) << handle.wait().outcome.error;
+    }
+    EXPECT_EQ(pool.stats().completed, 100u);
+    EXPECT_EQ(pool.stats().degraded_local, 0u);
+}
+
 TEST(RemotePool, HandshakeProtocolMismatchDegradesToInProcess)
 {
     // The worker advertises a bogus protocol version (test hook in
