@@ -182,6 +182,9 @@ class ServiceRun
   public:
     ServiceRun(const ServiceConfig &config, const Corpus &corpus,
                const std::vector<ServiceRequest> &workload);
+    // The telemetry gauges hold `this`.
+    ServiceRun(const ServiceRun &) = delete;
+    ServiceRun &operator=(const ServiceRun &) = delete;
 
     bool
     drained() const
