@@ -6,7 +6,8 @@
  * host (nine runs per level, the levels interleaved run by run),
  * prints a table, and writes BENCH_kernels.json with the median ns/op,
  * its interquartile range and the speedup vs scalar per kernel per
- * ISA, plus an end-to-end encode timing per ISA. Two auxiliary modes support scripts/check.sh:
+ * ISA, plus an end-to-end encode timing per ISA. Two auxiliary modes
+ * support scripts/check.sh:
  *
  *   --smoke   quick randomized scalar-vs-vector equivalence check;
  *             exits nonzero on any mismatch.
@@ -152,8 +153,9 @@ kernelBenches()
                                                 long iters) {
                            uint8_t dst[16 * 16];
                            for (long i = 0; i < iters; ++i)
-                               k.interpV(d.plane_a.data() + d.offsets[i & 63],
-                                         d.stride, dst, n, n, n);
+                               k.interpV(
+                                   d.plane_a.data() + d.offsets[i & 63],
+                                   d.stride, dst, n, n, n);
                            g_sink = g_sink + dst[0];
                        }});
         out.push_back({"interp_hv_" + shape, [n](const KernelOps &k,
@@ -330,7 +332,8 @@ measureNsPerOp(const std::vector<Isa> &levels, const BenchData &d,
     std::vector<NsPerOp> out;
     for (std::vector<double> &r : runs) {
         std::sort(r.begin(), r.end());
-        out.push_back({quantile(r, 0.5), quantile(r, 0.75) - quantile(r, 0.25)});
+        out.push_back(
+            {quantile(r, 0.5), quantile(r, 0.75) - quantile(r, 0.25)});
     }
     return out;
 }
@@ -570,7 +573,7 @@ runBench(const std::string &json_path)
         kernels::ScopedKernelIsa pin(isa);
         const EncodeDigest d = encodeDigest(clip);
         e2e_seconds.push_back(d.vbc_seconds + d.ngc_seconds);
-        std::printf("  %14.1fms  %6.2fx", e2e_seconds.back() * 1e3,
+        std::printf("  %17.1fms         %6.2fx", e2e_seconds.back() * 1e3,
                     e2e_seconds.front() / e2e_seconds.back());
     }
     std::printf("\n");
