@@ -43,9 +43,9 @@
  *
  * The policy reads the geometry, the slice bands, the frame's type and
  * QP, the padded source src_, recon_ and refs_ from the driver's
- * protected members. `Worker` is
- * its per-wavefront-slot scratch; it must carry `obs::StageAccum
- * accum` and `obs::StageAccum *acc` members.
+ * protected members. `Worker` is its per-wavefront-slot scratch; it
+ * must carry `obs::StageAccum accum` and `obs::StageAccum *acc`
+ * members.
  *
  * The same header holds the rate-control wrapper every encoder's
  * encode() runs through (encodeRateControlled): two-pass
