@@ -86,10 +86,10 @@ struct BenchData {
         for (auto &v : levels16)
             v = static_cast<int16_t>(rng.range(-64, 64));
         // Varied block positions so SAD-style kernels do not hit one
-        // cache line forever; keep 16x16 reads in bounds.
+        // cache line forever; keep 32x32 reads in bounds.
         for (auto &o : offsets)
             o = static_cast<uint32_t>(
-                rng.below(static_cast<uint64_t>(stride) * (height - 24)));
+                rng.below(static_cast<uint64_t>(stride) * (height - 40)));
     }
 };
 
@@ -116,17 +116,24 @@ kernelBenches()
                        }
                        g_sink = g_sink + acc;
                    }});
-    out.push_back({"satd_8x8", [](const KernelOps &k, const BenchData &d,
-                                  long iters) {
-                       uint64_t acc = 0;
-                       for (long i = 0; i < iters; ++i) {
-                           const uint32_t o = d.offsets[i & 63];
-                           acc += k.satd(d.plane_a.data() + o, d.stride,
-                                         d.plane_b.data() + o, d.stride,
-                                         8, 8);
-                       }
-                       g_sink = g_sink + acc;
-                   }});
+    // Every square SATD shape the codecs score: VBC 8x8 and 16x16,
+    // NGC 8x8 through 32x32.
+    for (const int n : {8, 16, 32}) {
+        const std::string shape =
+            std::to_string(n) + "x" + std::to_string(n);
+        out.push_back({"satd_" + shape, [n](const KernelOps &k,
+                                            const BenchData &d,
+                                            long iters) {
+                           uint64_t acc = 0;
+                           for (long i = 0; i < iters; ++i) {
+                               const uint32_t o = d.offsets[i & 63];
+                               acc += k.satd(d.plane_a.data() + o, d.stride,
+                                             d.plane_b.data() + o,
+                                             d.stride, n, n);
+                           }
+                           g_sink = g_sink + acc;
+                       }});
+    }
     out.push_back({"copy2d_16x16", [](const KernelOps &k,
                                       const BenchData &d, long iters) {
                        uint8_t dst[16 * 16];

@@ -13,8 +13,11 @@
  * and the 8-wide SSIM window stay on the SSE2 versions: they already
  * fill their lanes, and the AVX2 versions of horizontal interpolation
  * and reconstruction measured slower than SSE2 at every block size
- * the codecs use. All the same bit-exactness arguments as the SSE2 TU
- * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw).
+ * the codecs use. An AVX2 SATD (two 8x4 int16 strips per vector)
+ * measured about twice as fast at 16x16 and 32x32 but no faster at
+ * 8x8, so SATD keeps the SSE2 kernel at every shape (docs/PERF.md).
+ * All the same bit-exactness arguments as the SSE2 TU apply (wrapping
+ * packs, 64-bit quant math, exact pavgb/psadbw).
  */
 
 #include "kernels/kernel_ops.h"

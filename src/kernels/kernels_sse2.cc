@@ -51,14 +51,6 @@ load4s32(const int16_t *p)
     return _mm_srai_epi32(_mm_unpacklo_epi16(v, v), 16);
 }
 
-/** |v| lane-wise for int32 (two's-complement wrap on INT32_MIN). */
-inline __m128i
-abs32(__m128i v)
-{
-    const __m128i m = _mm_srai_epi32(v, 31);
-    return _mm_sub_epi32(_mm_xor_si128(v, m), m);
-}
-
 /** 4x4 transpose of int32 lanes across four vectors. */
 inline void
 transpose4x32(__m128i &r0, __m128i &r1, __m128i &r2, __m128i &r3)
@@ -136,50 +128,93 @@ sadSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
     return static_cast<uint32_t>(hsum64(acc)) + tail;
 }
 
+/** a - b for 8 bytes, as 8 int16 lanes. */
+inline __m128i
+diff8s16(const uint8_t *a, const uint8_t *b)
+{
+    return _mm_sub_epi16(load8u16(a), load8u16(b));
+}
+
+/** |v| lane-wise for int16 (no lane here reaches INT16_MIN). */
+inline __m128i
+abs16(__m128i v)
+{
+    return _mm_max_epi16(v, _mm_sub_epi16(_mm_setzero_si128(), v));
+}
+
+/**
+ * SATD of two side-by-side 4x4 blocks, given their four rows of
+ * differences (8 int16 lanes: block 0 in lanes 0-3, block 1 in 4-7).
+ * Returns 8 int16 partial sums whose total is the two blocks' SATD.
+ *
+ * Column butterflies run lane-wise; a 4x4 int16 transpose of both
+ * blocks at once turns the row butterflies lane-wise too. The last
+ * stage is folded: |p + q| + |p - q| = 2 max(|p|, |q|), so the sum of
+ * maxes is exactly the per-block halved |coefficient| sum and no
+ * division is left. Every lane stays within 8 * 255 = 2040 (a max)
+ * or 4080 (the returned pair sum), far inside int16.
+ */
+inline __m128i
+satdStrip8x4(__m128i d0, __m128i d1, __m128i d2, __m128i d3)
+{
+    const __m128i s0 = _mm_add_epi16(d0, d2);
+    const __m128i s1 = _mm_add_epi16(d1, d3);
+    const __m128i s2 = _mm_sub_epi16(d0, d2);
+    const __m128i s3 = _mm_sub_epi16(d1, d3);
+    const __m128i v0 = _mm_add_epi16(s0, s1);
+    const __m128i v1 = _mm_sub_epi16(s0, s1);
+    const __m128i v2 = _mm_add_epi16(s2, s3);
+    const __m128i v3 = _mm_sub_epi16(s2, s3);
+    // Transpose: after the epi16/epi32 steps t0/t1 hold block 0's
+    // columns (0|1, 2|3) and t2/t3 block 1's; the epi64 step pairs
+    // the same column of both blocks in one vector.
+    const __m128i w0 = _mm_unpacklo_epi16(v0, v1);
+    const __m128i w1 = _mm_unpackhi_epi16(v0, v1);
+    const __m128i w2 = _mm_unpacklo_epi16(v2, v3);
+    const __m128i w3 = _mm_unpackhi_epi16(v2, v3);
+    const __m128i t0 = _mm_unpacklo_epi32(w0, w2);
+    const __m128i t1 = _mm_unpackhi_epi32(w0, w2);
+    const __m128i t2 = _mm_unpacklo_epi32(w1, w3);
+    const __m128i t3 = _mm_unpackhi_epi32(w1, w3);
+    const __m128i c0 = _mm_unpacklo_epi64(t0, t2);
+    const __m128i c1 = _mm_unpackhi_epi64(t0, t2);
+    const __m128i c2 = _mm_unpacklo_epi64(t1, t3);
+    const __m128i c3 = _mm_unpackhi_epi64(t1, t3);
+    const __m128i u0 = _mm_add_epi16(c0, c2);
+    const __m128i u1 = _mm_add_epi16(c1, c3);
+    const __m128i u2 = _mm_sub_epi16(c0, c2);
+    const __m128i u3 = _mm_sub_epi16(c1, c3);
+    return _mm_add_epi16(_mm_max_epi16(abs16(u0), abs16(u1)),
+                         _mm_max_epi16(abs16(u2), abs16(u3)));
+}
+
 uint32_t
 satdSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
          int w, int h)
 {
-    uint32_t total = 0;
-    const __m128i zero = _mm_setzero_si128();
+    const __m128i ones = _mm_set1_epi16(1);
+    __m128i acc = _mm_setzero_si128();
+    const int w8 = w & ~7;
     for (int by = 0; by < h; by += 4) {
-        for (int bx = 0; bx < w; bx += 4) {
-            __m128i d[4];
-            for (int r = 0; r < 4; ++r) {
-                uint32_t wa, wb;
-                std::memcpy(&wa, a + (by + r) * a_stride + bx, 4);
-                std::memcpy(&wb, b + (by + r) * b_stride + bx, 4);
-                const __m128i va = _mm_unpacklo_epi8(
-                    _mm_cvtsi32_si128(static_cast<int>(wa)), zero);
-                const __m128i vb = _mm_unpacklo_epi8(
-                    _mm_cvtsi32_si128(static_cast<int>(wb)), zero);
-                const __m128i diff = _mm_sub_epi16(va, vb);
-                d[r] = _mm_srai_epi32(_mm_unpacklo_epi16(diff, diff), 16);
-            }
-            // Row butterflies act on elements within a row, so
-            // transpose first and operate lane-wise.
-            transpose4x32(d[0], d[1], d[2], d[3]);
-            __m128i s0 = _mm_add_epi32(d[0], d[2]);
-            __m128i s1 = _mm_add_epi32(d[1], d[3]);
-            __m128i s2 = _mm_sub_epi32(d[0], d[2]);
-            __m128i s3 = _mm_sub_epi32(d[1], d[3]);
-            __m128i t0 = _mm_add_epi32(s0, s1);
-            __m128i t1 = _mm_sub_epi32(s0, s1);
-            __m128i t2 = _mm_add_epi32(s2, s3);
-            __m128i t3 = _mm_sub_epi32(s2, s3);
-            transpose4x32(t0, t1, t2, t3);
-            s0 = _mm_add_epi32(t0, t2);
-            s1 = _mm_add_epi32(t1, t3);
-            s2 = _mm_sub_epi32(t0, t2);
-            s3 = _mm_sub_epi32(t1, t3);
-            const __m128i sum = _mm_add_epi32(
-                _mm_add_epi32(abs32(_mm_add_epi32(s0, s1)),
-                              abs32(_mm_sub_epi32(s0, s1))),
-                _mm_add_epi32(abs32(_mm_add_epi32(s2, s3)),
-                              abs32(_mm_sub_epi32(s2, s3))));
-            total += static_cast<uint32_t>(hsum32(sum)) / 2;
+        const uint8_t *pa = a + by * a_stride;
+        const uint8_t *pb = b + by * b_stride;
+        for (int bx = 0; bx < w8; bx += 8) {
+            const __m128i sum = satdStrip8x4(
+                diff8s16(pa + bx, pb + bx),
+                diff8s16(pa + a_stride + bx, pb + b_stride + bx),
+                diff8s16(pa + 2 * a_stride + bx, pb + 2 * b_stride + bx),
+                diff8s16(pa + 3 * a_stride + bx, pb + 3 * b_stride + bx));
+            // Widen before accumulating further: pmaddwd pairs the
+            // int16 partial sums into int32 lanes.
+            acc = _mm_add_epi32(acc, _mm_madd_epi16(sum, ones));
         }
     }
+    uint32_t total = static_cast<uint32_t>(hsum32(acc));
+    // A width that is 4 mod 8 (never a codec shape) ends in one
+    // 4-column strip, scored by the scalar reference.
+    if (w8 < w)
+        total += scalarOps()->satd(a + w8, a_stride, b + w8, b_stride,
+                                   w - w8, h);
     return total;
 }
 

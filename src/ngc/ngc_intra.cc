@@ -1,5 +1,9 @@
 #include "ngc/ngc_intra.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+
 #include "codec/types.h"
 
 namespace vbench::ngc {
@@ -24,12 +28,47 @@ ngcIntraAvailable(NgcIntraMode mode, int x, int y, int slice_top)
     return false;
 }
 
+namespace {
+
+/** 1-2-1 smoothing: g[i] = (e[i] + 2 e[i+1] + e[i+2] + 2) >> 2. */
+void
+smooth121(const uint8_t *e, int count, uint8_t *g)
+{
+    for (int i = 0; i < count; ++i)
+        g[i] = static_cast<uint8_t>((e[i] + 2 * e[i + 1] + e[i + 2] + 2) >> 2);
+}
+
+} // namespace
+
 void
 ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
                 int n, uint8_t *out, int slice_top)
 {
+    assert(n >= 1 && n <= kSbSize);
     const bool has_top = y > slice_top;
     const bool has_left = x > 0;
+    const size_t row_bytes = static_cast<size_t>(n);
+
+    // One edge line: the left column bottom-up in edge[0, n), the
+    // corner at edge[n], then the top row top[k] = (x+k, y-1) for k in
+    // [0, 2n], clamped at the plane's right edge. top[-1] is the corner.
+    uint8_t edge[3 * kSbSize + 2] = {};
+    uint8_t *const top = edge + n + 1;
+    if (has_top) {
+        const uint8_t *above = recon.row(y - 1);
+        const int avail = std::min(2 * n + 1, recon.width() - x);
+        std::memcpy(top, above + x, static_cast<size_t>(avail));
+        std::memset(top + avail, above[recon.width() - 1],
+                    static_cast<size_t>(2 * n + 1 - avail));
+        if (has_left)
+            top[-1] = above[x - 1];
+    }
+    if (has_left) {
+        const uint8_t *col = recon.row(y) + x - 1;
+        for (int k = 0; k < n; ++k)
+            edge[n - 1 - k] = col[static_cast<size_t>(k) * recon.width()];
+    }
+    const auto left = [&](int k) { return edge[n - 1 - k]; };
 
     switch (mode) {
       case NgcIntraMode::Dc: {
@@ -37,81 +76,56 @@ ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
         int count = 0;
         if (has_top) {
             for (int i = 0; i < n; ++i)
-                sum += recon.at(x + i, y - 1);
+                sum += top[i];
             count += n;
         }
         if (has_left) {
             for (int i = 0; i < n; ++i)
-                sum += recon.at(x - 1, y + i);
+                sum += edge[i];
             count += n;
         }
         const uint8_t dc = count > 0
             ? static_cast<uint8_t>((sum + count / 2) / count)
             : 128;
-        for (int i = 0; i < n * n; ++i)
-            out[i] = dc;
+        std::memset(out, dc, row_bytes * row_bytes);
         break;
       }
       case NgcIntraMode::Vertical:
         for (int r = 0; r < n; ++r)
-            for (int c = 0; c < n; ++c)
-                out[r * n + c] = recon.at(x + c, y - 1);
+            std::memcpy(out + r * n, top, row_bytes);
         break;
       case NgcIntraMode::Horizontal:
-        for (int r = 0; r < n; ++r) {
-            const uint8_t v = recon.at(x - 1, y + r);
-            for (int c = 0; c < n; ++c)
-                out[r * n + c] = v;
-        }
+        for (int r = 0; r < n; ++r)
+            std::memset(out + r * n, left(r), row_bytes);
         break;
       case NgcIntraMode::TrueMotion: {
-        const int corner = recon.at(x - 1, y - 1);
+        const int corner = top[-1];
         for (int r = 0; r < n; ++r) {
-            const int base = recon.at(x - 1, y + r) - corner;
+            const int base = left(r) - corner;
             for (int c = 0; c < n; ++c)
-                out[r * n + c] = clampPixel(base + recon.at(x + c, y - 1));
+                out[r * n + c] = clampPixel(base + top[c]);
         }
         break;
       }
-      case NgcIntraMode::DiagDownLeft:
-        // 45 degrees from the top row extended right (clamped at the
-        // plane edge), smoothed by a 1-2-1 filter.
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const int i = c + r;
-                const int a = recon.atClamped(x + i, y - 1);
-                const int b = recon.atClamped(x + i + 1, y - 1);
-                const int d = recon.atClamped(x + i + 2, y - 1);
-                out[r * n + c] =
-                    static_cast<uint8_t>((a + 2 * b + d + 2) >> 2);
-            }
-        }
+      case NgcIntraMode::DiagDownLeft: {
+        // 45 degrees from the top row extended right: smooth it once,
+        // then row r is the filtered row shifted left by r.
+        uint8_t g[2 * kSbSize] = {};
+        smooth121(top, 2 * n - 1, g);
+        for (int r = 0; r < n; ++r)
+            std::memcpy(out + r * n, g + r, row_bytes);
         break;
-      case NgcIntraMode::DiagDownRight:
-        // 45 degrees from the top-left corner: sample along the
-        // diagonal through left column, corner, and top row.
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const int d = c - r;
-                int a, b, e;
-                if (d > 0) {
-                    a = recon.atClamped(x + d - 2, y - 1);
-                    b = recon.atClamped(x + d - 1, y - 1);
-                    e = recon.atClamped(x + d, y - 1);
-                } else if (d < 0) {
-                    a = recon.atClamped(x - 1, y - d - 2);
-                    b = recon.atClamped(x - 1, y - d - 1);
-                    e = recon.atClamped(x - 1, y - d);
-                } else {
-                    a = recon.atClamped(x, y - 1);
-                    b = recon.atClamped(x - 1, y - 1);
-                    e = recon.atClamped(x - 1, y);
-                }
-                out[r * n + c] =
-                    static_cast<uint8_t>((a + 2 * b + e + 2) >> 2);
-            }
-        }
+      }
+      case NgcIntraMode::DiagDownRight: {
+        // 45 degrees from the top-left corner along the edge line (left
+        // column, corner, top row), whose 1-2-1 filter is symmetric:
+        // g[i] is centred on edge[i + 1] and row r starts n - 1 - r in.
+        uint8_t g[2 * kSbSize] = {};
+        smooth121(edge, 2 * n - 1, g);
+        for (int r = 0; r < n; ++r)
+            std::memcpy(out + r * n, g + n - 1 - r, row_bytes);
         break;
+      }
     }
 }
 

@@ -2,10 +2,16 @@
 
 /**
  * @file
- * NGC intra prediction: six predictors over arbitrary power-of-two
- * block sizes (8..32), including two 45-degree angular modes that VBC
- * lacks. Neighbors are read from the reconstructed plane with
- * availability-aware clamping, identically on both sides.
+ * NGC intra prediction: six predictors over power-of-two block sizes
+ * (4..32: 8..32 luma, half that for chroma), including two 45-degree
+ * angular modes that VBC lacks. The encoder and the decoder share this
+ * one function, so both sides see the same neighbors.
+ *
+ * Each call reads the block's neighbors once into a stack edge buffer:
+ * the top row (x-1 .. x+2n, clamped at the plane's right edge) and the
+ * left column (y .. y+n-1). Every mode then predicts from that buffer:
+ * V and H copy and fill rows, and both diagonals filter their edge
+ * line once and copy shifted rows out of it.
  */
 
 #include <cstdint>
@@ -20,6 +26,8 @@ namespace vbench::ngc {
  *
  * @param mode predictor; must satisfy ngcIntraAvailable(mode, x, y,
  *        slice_top).
+ * @param n block size, at most kSbSize; the block must lie inside
+ *        the plane.
  * @param slice_top first pixel row of the enclosing entropy slice;
  *        rows above it are treated as outside the frame so slices
  *        decode independently. 0 (the default) is the frame top.

@@ -17,6 +17,27 @@ toMicros(double seconds)
         : static_cast<uint64_t>(std::llround(seconds * 1e6));
 }
 
+/**
+ * Latency cut for the slowest decile's exemplars: everything at or
+ * above it is retained. The p90 estimate lies in (lo, hi] of the
+ * bucket that holds the p90 sample, so the cut is that bucket's low
+ * edge: the decile is never under-selected, whatever the bucket's
+ * width (unit-wide below 8 us, an eighth of an octave above), and a
+ * few p89 stragglers sharing the bucket may ride along. Samples are
+ * recorded rounded to the nearest microsecond, so the cut sits half a
+ * microsecond below the edge to keep a sample that rounded up into it.
+ */
+double
+exemplarCutMs(const obs::Histogram &latency_us)
+{
+    const double p90 = latency_us.valueAtQuantile(0.90);
+    if (p90 <= 0)
+        return 0;
+    const uint64_t lo = obs::Histogram::bucketLo(obs::Histogram::bucketIndex(
+        static_cast<uint64_t>(std::ceil(p90)) - 1));
+    return lo > 0 ? (static_cast<double>(lo) - 0.5) / 1e3 : 0;
+}
+
 } // namespace
 
 void
@@ -112,13 +133,7 @@ SlaScorer::report(double wall_seconds) const
             ? static_cast<double>(s.cache_hits) /
                 static_cast<double>(s.segments)
             : 0.0;
-        // Slowest decile: everything retained at or above the p90 cut.
-        // The log-bucketed histogram reports a bucket's high edge — up
-        // to one sub-bucket (12.5%) above the true quantile — so take
-        // the matching lower bound; the decile is never under-selected
-        // (a few p89 stragglers may ride along, which is fine).
-        score.exemplar_cut_ms =
-            s.latency_us.valueAtQuantile(0.90) / 1e3 / 1.125;
+        score.exemplar_cut_ms = exemplarCutMs(s.latency_us);
         score.exemplars = s.exemplars.atOrAbove(score.exemplar_cut_ms);
         // Cost efficiency: dollars per delivered stream (a stitched
         // rung is one delivery stream) and per stream-dB of quality.

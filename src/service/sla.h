@@ -60,9 +60,9 @@ struct ScenarioScore {
     /// Dollars per stream per dB of quality — the cost-efficiency
     /// number the placement policies compete on.
     double dollars_per_quality_point = 0;
-    /// Latency cut defining the slowest decile: the scenario's p90,
-    /// lowered one histogram sub-bucket (12.5%) so bucket rounding
-    /// never under-selects the decile.
+    /// Latency cut defining the slowest decile: the low edge of the
+    /// latency-histogram bucket holding the scenario's p90, so bucket
+    /// rounding never under-selects the decile.
     double exemplar_cut_ms = 0;
     /// Slowest-decile segments, slowest first: trace_id + critical
     /// path for every retained segment at or above the p90 cut.

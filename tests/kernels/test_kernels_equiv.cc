@@ -80,8 +80,8 @@ TEST(KernelsEquiv, Satd)
     Rng rng(12);
     const KernelOps &ref = *scalarOps();
     for (const KernelOps *vec : vectorBackends()) {
-        for (int w : {4, 8, 12, 16, 32}) {
-            for (int h : {4, 8, 16}) {
+        for (int w : {4, 8, 12, 16, 24, 32, 40, 64}) {
+            for (int h : {4, 8, 12, 16, 32}) {
                 const int a_stride = w + static_cast<int>(rng.below(9));
                 const int b_stride = w + static_cast<int>(rng.below(9));
                 const auto a =
@@ -93,6 +93,53 @@ TEST(KernelsEquiv, Satd)
                           vec->satd(a.data(), a_stride, b.data(),
                                     b_stride, w, h))
                     << vec->name << " w=" << w << " h=" << h;
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, SatdAtMaximumMagnitude)
+{
+    // Inputs that push every Hadamard coefficient to its extreme
+    // (|coef| up to 16 * 255): a flat 255 against 0 puts it all in DC,
+    // and +-255 checkerboards put it in the highest-frequency terms.
+    // The SIMD kernels keep these sums in int16 lanes, so this is where
+    // a lane would overflow. Every backend, scalar included, must
+    // agree with the scalar reference and with the closed form.
+    const KernelOps &ref = *scalarOps();
+    std::vector<const KernelOps *> backends = vectorBackends();
+    backends.push_back(&ref);
+    for (const KernelOps *k : backends) {
+        for (int n : {8, 16, 32}) {
+            const int stride = n + 3;
+            const size_t size = static_cast<size_t>(stride) * n;
+            std::vector<uint8_t> flat(size, 255), zero(size, 0);
+            std::vector<uint8_t> board(size), inverse(size);
+            for (int r = 0; r < n; ++r) {
+                for (int c = 0; c < n; ++c) {
+                    const size_t i = static_cast<size_t>(r) * stride + c;
+                    board[i] = ((r + c) & 1) ? 255 : 0;
+                    inverse[i] = static_cast<uint8_t>(255 - board[i]);
+                }
+            }
+            const uint32_t blocks = static_cast<uint32_t>(n / 4 * n / 4);
+            // One coefficient of 16 * 255 per 4x4 block, halved.
+            const uint32_t want = blocks * 16 * 255 / 2;
+            const struct {
+                const char *name;
+                const std::vector<uint8_t> &a, &b;
+            } cases[] = {{"255-vs-0", flat, zero},
+                         {"0-vs-255", zero, flat},
+                         {"checkerboard", board, inverse},
+                         {"inverse-checkerboard", inverse, board}};
+            for (const auto &c : cases) {
+                const uint32_t got = k->satd(c.a.data(), stride,
+                                             c.b.data(), stride, n, n);
+                EXPECT_EQ(got, ref.satd(c.a.data(), stride, c.b.data(),
+                                        stride, n, n))
+                    << k->name << " " << c.name << " " << n << "x" << n;
+                EXPECT_EQ(got, want)
+                    << k->name << " " << c.name << " " << n << "x" << n;
             }
         }
     }

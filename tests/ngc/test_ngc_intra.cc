@@ -1,9 +1,15 @@
 /**
  * @file
- * NGC intra predictor tests (including the angular modes).
+ * NGC intra predictor tests (including the angular modes), and an
+ * oracle check of the edge-buffer predictor against a per-pixel one.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "codec/types.h"
 
 #include "ngc/ngc_intra.h"
 #include "video/rng.h"
@@ -102,6 +108,146 @@ TEST(NgcIntra, DcNoNeighborsIsMidGray)
     ngcIntraPredict(NgcIntraMode::Dc, p, 0, 0, 8, pred.data());
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(pred[i], 128);
+}
+
+/**
+ * Per-pixel reference predictor: every output sample reads its
+ * neighbors straight from the plane (atClamped for the diagonal
+ * modes, so the top row extends right by replicating the plane's last
+ * column). The production predictor gathers the edges once; the two
+ * must agree sample for sample.
+ */
+void
+referencePredict(NgcIntraMode mode, const Plane &recon, int x, int y,
+                 int n, uint8_t *out, int slice_top)
+{
+    const bool has_top = y > slice_top;
+    const bool has_left = x > 0;
+    switch (mode) {
+      case NgcIntraMode::Dc: {
+        int sum = 0;
+        int count = 0;
+        if (has_top) {
+            for (int i = 0; i < n; ++i)
+                sum += recon.at(x + i, y - 1);
+            count += n;
+        }
+        if (has_left) {
+            for (int i = 0; i < n; ++i)
+                sum += recon.at(x - 1, y + i);
+            count += n;
+        }
+        const uint8_t dc = count > 0
+            ? static_cast<uint8_t>((sum + count / 2) / count)
+            : 128;
+        for (int i = 0; i < n * n; ++i)
+            out[i] = dc;
+        break;
+      }
+      case NgcIntraMode::Vertical:
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c)
+                out[r * n + c] = recon.at(x + c, y - 1);
+        break;
+      case NgcIntraMode::Horizontal:
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c)
+                out[r * n + c] = recon.at(x - 1, y + r);
+        break;
+      case NgcIntraMode::TrueMotion: {
+        const int corner = recon.at(x - 1, y - 1);
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c)
+                out[r * n + c] = codec::clampPixel(
+                    recon.at(x - 1, y + r) - corner + recon.at(x + c, y - 1));
+        break;
+      }
+      case NgcIntraMode::DiagDownLeft:
+        for (int r = 0; r < n; ++r) {
+            for (int c = 0; c < n; ++c) {
+                const int i = c + r;
+                const int a = recon.atClamped(x + i, y - 1);
+                const int b = recon.atClamped(x + i + 1, y - 1);
+                const int d = recon.atClamped(x + i + 2, y - 1);
+                out[r * n + c] =
+                    static_cast<uint8_t>((a + 2 * b + d + 2) >> 2);
+            }
+        }
+        break;
+      case NgcIntraMode::DiagDownRight:
+        for (int r = 0; r < n; ++r) {
+            for (int c = 0; c < n; ++c) {
+                const int d = c - r;
+                int a, b, e;
+                if (d > 0) {
+                    a = recon.atClamped(x + d - 2, y - 1);
+                    b = recon.atClamped(x + d - 1, y - 1);
+                    e = recon.atClamped(x + d, y - 1);
+                } else if (d < 0) {
+                    a = recon.atClamped(x - 1, y - d - 2);
+                    b = recon.atClamped(x - 1, y - d - 1);
+                    e = recon.atClamped(x - 1, y - d);
+                } else {
+                    a = recon.atClamped(x, y - 1);
+                    b = recon.atClamped(x - 1, y - 1);
+                    e = recon.atClamped(x - 1, y);
+                }
+                out[r * n + c] =
+                    static_cast<uint8_t>((a + 2 * b + e + 2) >> 2);
+            }
+        }
+        break;
+    }
+}
+
+TEST(NgcIntra, EdgeBufferMatchesPerPixelReference)
+{
+    // Random planes, every mode at every block size, at the left edge
+    // (x = 0), at the right edge (x + 2n past the width, so DDL's top
+    // row is clamped), inside a slice (slice_top > 0, including a
+    // block on the slice's first row), and in the interior.
+    video::Rng rng(2024);
+    constexpr int kW = 96;
+    constexpr int kH = 128;
+    Plane p(kW, kH);
+    for (int y = 0; y < kH; ++y)
+        for (int x = 0; x < kW; ++x)
+            p.at(x, y) = static_cast<uint8_t>(rng.below(256));
+
+    int checked[kNgcIntraModes] = {};
+    for (int n : {4, 8, 16, 32}) {
+        struct Pos {
+            const char *where;
+            int x, y, slice_top;
+        };
+        const Pos positions[] = {
+            {"left edge", 0, n, 0},
+            {"left edge, frame top", 0, 0, 0},
+            {"right edge", kW - n, n, 0},
+            {"right edge, mid", kW - 2 * n, 2 * n, 0},
+            {"slice top row", n, 2 * n, 2 * n},
+            {"inside slice", kW - n, 2 * n + n, 2 * n},
+            {"interior", n, n, 0},
+        };
+        for (const Pos &pos : positions) {
+            for (int m = 0; m < kNgcIntraModes; ++m) {
+                const auto mode = static_cast<NgcIntraMode>(m);
+                if (!ngcIntraAvailable(mode, pos.x, pos.y, pos.slice_top))
+                    continue;
+                std::vector<uint8_t> want(static_cast<size_t>(n) * n);
+                std::vector<uint8_t> got(want.size(), 0xA5);
+                referencePredict(mode, p, pos.x, pos.y, n, want.data(),
+                                 pos.slice_top);
+                ngcIntraPredict(mode, p, pos.x, pos.y, n, got.data(),
+                                pos.slice_top);
+                ASSERT_EQ(got, want) << "mode " << m << " n " << n << " at "
+                                     << pos.where;
+                ++checked[m];
+            }
+        }
+    }
+    for (int m = 0; m < kNgcIntraModes; ++m)
+        EXPECT_GE(checked[m], 4 * 3) << "mode " << m;
 }
 
 } // namespace

@@ -103,6 +103,36 @@ TEST(SlaScorer, EmptyScorerReportsNothing)
     EXPECT_DOUBLE_EQ(report.overall_hit_rate, 1.0);
 }
 
+TEST(SlaScorer, MicrosecondSegmentsKeepTheirSlowestExemplar)
+{
+    // Two traced segments of a few microseconds land in the latency
+    // histogram's unit-wide buckets (2 and 5 us). The p90 estimate
+    // (5.9 us) sits inside the 5 us bucket, so the cut must be that
+    // bucket's low edge: a cut of p90 / 1.125 (5.24 us) would leave the
+    // slowest decile empty.
+    SlaScorer scorer;
+    scorer.recordSegment(core::Scenario::Vod, 2.1e-6, true, 100, true, 1);
+    scorer.recordSegment(core::Scenario::Vod, 5.0e-6, true, 100, true, 2);
+    const SlaReport report = scorer.report(1.0);
+    ASSERT_EQ(report.scenarios.size(), 1u);
+    const ScenarioScore &s = report.scenarios.front();
+    EXPECT_LE(s.exemplar_cut_ms, 5.0e-3);
+    EXPECT_GT(s.exemplar_cut_ms, 2.1e-3);
+    ASSERT_EQ(s.exemplars.size(), 1u);
+    EXPECT_EQ(s.exemplars.front().trace_id, 2u);
+
+    // 4.6 us is recorded as 5 us: it rounds up into the p90 bucket and
+    // must still clear the cut.
+    SlaScorer rounded;
+    rounded.recordSegment(core::Scenario::Vod, 2.1e-6, true, 100, true, 1);
+    rounded.recordSegment(core::Scenario::Vod, 4.6e-6, true, 100, true, 2);
+    const SlaReport rounded_report = rounded.report(1.0);
+    ASSERT_EQ(rounded_report.scenarios.size(), 1u);
+    const ScenarioScore &r = rounded_report.scenarios.front();
+    ASSERT_EQ(r.exemplars.size(), 1u);
+    EXPECT_EQ(r.exemplars.front().trace_id, 2u);
+}
+
 TEST(SlaScorer, ExportsNamedMetrics)
 {
     SlaScorer scorer;
